@@ -12,6 +12,8 @@
 //!
 //! Usage: `cargo run -p bench --release --bin ablations`
 
+#![forbid(unsafe_code)]
+
 use bench::{print_table, thousands, Suite};
 use gpu_sim::LaunchConfig;
 use gpu_stm::StmConfig;

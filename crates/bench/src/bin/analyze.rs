@@ -19,6 +19,8 @@
 //! cargo run -p bench --release --bin analyze -- --bless # regenerate golden
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gpu_sim::{JsonWriter, LaunchConfig, Sim, SimConfig};
 use gpu_stm::{Stm, StmConfig};
 use std::fmt::Write as _;

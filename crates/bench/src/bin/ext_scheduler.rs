@@ -10,6 +10,8 @@
 //!
 //! Usage: `cargo run -p bench --release --bin ext_scheduler`
 
+#![forbid(unsafe_code)]
+
 use bench::{print_table, thousands, Suite};
 use gpu_sim::{LaunchConfig, Sim, SimConfig, WarpRng};
 use gpu_stm::{

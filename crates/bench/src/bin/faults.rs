@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run -p bench --release --bin faults`
 
+#![forbid(unsafe_code)]
+
 use bench::{print_table, thousands};
 use gpu_sim::{FaultPlan, LaunchConfig};
 use gpu_stm::recorder;

@@ -10,6 +10,8 @@
 //! Usage: `cargo run -p bench --release --bin fig2 [--data-scale N]
 //! [--thread-scale N] [--only ra|ht|gn|lb|km]`
 
+#![forbid(unsafe_code)]
+
 use bench::runner::{run_workload, Workload};
 use bench::{print_table, speedup, thousands, Suite};
 use workloads::Variant;

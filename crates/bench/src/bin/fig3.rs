@@ -9,6 +9,8 @@
 //!
 //! Usage: `cargo run -p bench --release --bin fig3 [--only ra|ht|gn|lb|km]`
 
+#![forbid(unsafe_code)]
+
 use bench::runner::{run_workload, Workload};
 use bench::{print_table, speedup, Suite};
 use workloads::Variant;

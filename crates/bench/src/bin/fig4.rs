@@ -9,6 +9,8 @@
 //!
 //! Usage: `cargo run -p bench --release --bin fig4 [--data-scale N]`
 
+#![forbid(unsafe_code)]
+
 use bench::{print_table, square_grid, thousands, Suite};
 use workloads::eigenbench::{self, EbParams};
 use workloads::{RunConfig, Variant};

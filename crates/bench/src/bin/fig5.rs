@@ -12,6 +12,8 @@
 //!
 //! Usage: `cargo run -p bench --release --bin fig5`
 
+#![forbid(unsafe_code)]
+
 use bench::{print_table, Suite};
 use gpu_stm::{phase_label, PHASES};
 use workloads::{genome, kmeans, labyrinth, RunConfig, Variant};

@@ -15,6 +15,8 @@
 //! cargo run -p bench --release --bin fix -- --json out.json
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -9,6 +9,8 @@
 //! cargo run -p bench --release --bin lint -- --bless # regenerate golden
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -29,6 +29,8 @@
 //! cargo run -p bench --release --bin obs -- --prom          # print scrape
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bench::{artifact_output_path, bench_output_path, print_table};
 use gpu_sim::JsonWriter;
 use tm_serve::{

@@ -15,6 +15,8 @@
 //! and HT (the paper's two microbenchmarks) under every variant;
 //! `--full` adds GN, LB and KM.
 
+#![forbid(unsafe_code)]
+
 use bench::runner::{run_workload, Workload};
 use bench::Suite;
 use gpu_sim::JsonWriter;

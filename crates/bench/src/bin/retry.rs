@@ -30,6 +30,8 @@
 //! cargo run -p bench --release --bin retry -- --smoke  # CI sweep (golden)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bench::{bench_output_path, print_table, thousands};
 use gpu_sim::JsonWriter;
 use gpu_stm::Phase;

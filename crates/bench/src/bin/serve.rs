@@ -33,6 +33,8 @@
 //! of worker-thread count or host speed. Wall-clock throughput is
 //! printed on the console only.
 
+#![forbid(unsafe_code)]
+
 use bench::{bench_output_path, print_table};
 use gpu_sim::JsonWriter;
 use tm_serve::{

@@ -7,6 +7,8 @@
 //!
 //! Usage: `cargo run -p bench --release --bin table1`
 
+#![forbid(unsafe_code)]
+
 use bench::runner::{run_workload, Workload};
 use bench::{print_table, thousands, Suite};
 use gpu_stm::Phase;

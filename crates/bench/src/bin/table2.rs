@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run -p bench --release --bin table2`
 
+#![forbid(unsafe_code)]
+
 use bench::runner::{run_workload, Workload};
 use bench::{print_table, thousands, Suite};
 use workloads::Variant;

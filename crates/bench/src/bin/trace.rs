@@ -17,6 +17,8 @@
 //! count is reported. The suite scaling flags (`--data-scale`,
 //! `--thread-scale`) apply as in every other bench binary.
 
+#![forbid(unsafe_code)]
+
 use bench::runner::{run_workload_traced, TraceHooks, Workload};
 use bench::{thousands, Suite};
 use gpu_sim::trace_sink;

@@ -17,6 +17,8 @@
 //! Exit status is nonzero when any violation is found (or a `--replay`
 //! does not reproduce one), so the bin doubles as a CI gate.
 
+#![forbid(unsafe_code)]
+
 use bench::print_table;
 use gpu_sim::json::JsonWriter;
 use gpu_stm::Mutation;

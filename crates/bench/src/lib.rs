@@ -14,6 +14,7 @@
 //! threads : conflicts). Pass `--data-scale 1 --thread-scale 1` to run at
 //! paper scale.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod runner;

@@ -19,6 +19,7 @@
 //! insight GPU-STM's encounter-time lock-sorting generalises
 //! ([`try_lock_sorted`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use gpu_sim::{Addr, LaneAddrs, LaneMask, LaneVals, Sim, SimError, WarpCtx, WARP_SIZE};

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::task::{Context, Poll, Waker};
 
 /// GPU-level resource limits (block/warp residency), Fermi C2070 defaults.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -411,6 +411,12 @@ impl Sim {
         self.launches
     }
 
+    /// Device words allocated so far, including the reserved word 0:
+    /// the length of a [`checkpoint`](Self::checkpoint)'s memory image.
+    pub fn allocated(&self) -> usize {
+        self.state.borrow().mem.allocated()
+    }
+
     /// Allocates `n` zeroed device words.
     ///
     /// # Errors
@@ -604,8 +610,7 @@ impl Sim {
             0,
         );
 
-        let waker = noop_waker();
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(Waker::noop());
         let mut last_cycle = 0u64;
 
         loop {
@@ -950,20 +955,6 @@ impl Scheduler {
         self.live -= 1;
         (entry.block, entry.pslot)
     }
-}
-
-fn noop_waker() -> Waker {
-    fn raw() -> RawWaker {
-        RawWaker::new(std::ptr::null(), &VTABLE)
-    }
-    unsafe fn clone(_: *const ()) -> RawWaker {
-        raw()
-    }
-    unsafe fn noop(_: *const ()) {}
-    static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, noop, noop, noop);
-    // SAFETY: all vtable functions are no-ops; the waker is never used to
-    // actually wake anything (the scheduler polls explicitly).
-    unsafe { Waker::from_raw(raw()) }
 }
 
 #[cfg(test)]

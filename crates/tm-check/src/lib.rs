@@ -16,6 +16,7 @@
 //! only committed writes must reproduce the simulator's actual final
 //! memory.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use gpu_sim::Addr;

@@ -295,14 +295,214 @@ struct LaneOp {
 
 const K_IDLE: u8 = 255;
 
-/// A request-tagged commit observed by the history hook.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct CommitRec {
-    req: u64,
-    tid: u32,
-    version: u32, // version + 1; 0 = read-only
-    reads: u32,
-    writes: u32,
+/// The request-tagged commit log as the commit hook folds it: a running
+/// FNV-1a over (request id, tid, version + 1, read count, write count)
+/// per commit, in commit order, and the number of commits folded.
+#[derive(Copy, Clone)]
+struct LogHash {
+    fnv: u64,
+    count: u64,
+}
+
+/// Snapshot payload format version; other versions are rejected.
+const SNAPSHOT_VERSION: u32 = 2;
+
+/// A decoded snapshot payload (see `ShardEngine::snapshot_payload`).
+struct Snapshot {
+    seq: u64,
+    aborts: u64,
+    hist_commits: u64,
+    hist_len: u64,
+    log: LogHash,
+    txl_launch_seq: u64,
+    sim: SimCheckpoint,
+    tx: TxStats,
+    sched: Option<SchedulerCheckpoint>,
+    robust_rng: Option<u64>,
+    last_seal: Option<BatchSeal>,
+}
+
+/// Decodes a snapshot payload for an engine whose simulator has
+/// `mem_words` allocated words and an L2 of `lines` lines. `None` on any
+/// corruption, on another format version, or on an image that does not
+/// fit those dimensions.
+fn decode_snapshot(payload: &[u8], mem_words: usize, lines: usize) -> Option<Snapshot> {
+    let mut d = Dec::new(payload);
+    if d.u32()? != SNAPSHOT_VERSION {
+        return None;
+    }
+    let seq = d.u64()?;
+    let aborts = d.u64()?;
+    let hist_commits = d.u64()?;
+    let hist_len = d.u64()?;
+    let log = LogHash { fnv: d.u64()?, count: d.u64()? };
+    let txl_launch_seq = d.u64()?;
+
+    if d.u32()? as usize != mem_words {
+        return None;
+    }
+    let memory = (0..mem_words).map(|_| d.u32()).collect::<Option<Vec<u32>>>()?;
+    if d.u32()? as usize != lines {
+        return None;
+    }
+    let (mut tags, mut stamps) = (vec![0u64; lines], vec![0u64; lines]);
+    for _ in 0..d.count(20)? {
+        let i = d.u32()? as usize;
+        if i >= lines {
+            return None;
+        }
+        tags[i] = d.u64()?;
+        stamps[i] = d.u64()?;
+    }
+    let cache = CacheCheckpoint { tags, stamps, tick: d.u64()? };
+    let mut stats = [0u64; 18];
+    for v in stats.iter_mut() {
+        *v = d.u64()?;
+    }
+    let sim = SimCheckpoint {
+        memory,
+        cache,
+        stats: sim_stats_from_words(stats),
+        cycles: d.u64()?,
+        launches: d.u64()?,
+    };
+
+    let tx_len = d.count(8)?;
+    let tx_words = (0..tx_len).map(|_| d.u64()).collect::<Option<Vec<u64>>>()?;
+    let tx = TxStats::decode(&tx_words)?;
+    let sched = if d.u8()? == 1 {
+        Some(SchedulerCheckpoint {
+            limit: d.u32()?,
+            in_flight: d.u32()?,
+            window_commits: d.u64()?,
+            window_aborts: d.u64()?,
+            adaptations: d.u64()?,
+            storm: d.u8()? != 0,
+        })
+    } else {
+        None
+    };
+    let robust_rng = if d.u8()? == 1 { Some(d.u64()?) } else { None };
+    let last_seal = if d.u8()? == 1 { Some(dec_seal(&mut d)?) } else { None };
+    d.done()?;
+    Some(Snapshot {
+        seq,
+        aborts,
+        hist_commits,
+        hist_len,
+        log,
+        txl_launch_seq,
+        sim,
+        tx,
+        sched,
+        robust_rng,
+        last_seal,
+    })
+}
+
+/// Encodes committed transactions as a history-journal delta.
+fn enc_commits(e: &mut Enc, commits: &[CommittedTx]) {
+    e.u32(commits.len() as u32);
+    for tx in commits {
+        e.u32(tx.tid);
+        e.u32(tx.version.map_or(0, |v| v + 1));
+        e.u32(tx.snapshot);
+        for set in [&tx.reads, &tx.writes] {
+            e.u32(set.len() as u32);
+            for a in set {
+                e.u32(a.addr.index() as u32);
+                e.u32(a.val);
+            }
+        }
+    }
+}
+
+/// Decodes a delta written by [`enc_commits`], appending to `out`.
+fn dec_commits(d: &mut Dec, out: &mut Vec<CommittedTx>) -> Option<()> {
+    for _ in 0..d.count(20)? {
+        let tid = d.u32()?;
+        let version = d.u32()?.checked_sub(1);
+        let snapshot = d.u32()?;
+        let mut sets = [Vec::new(), Vec::new()];
+        for set in &mut sets {
+            *set = (0..d.count(8)?)
+                .map(|_| Some(Access { addr: Addr(d.u32()?), val: d.u32()? }))
+                .collect::<Option<Vec<_>>>()?;
+        }
+        let [reads, writes] = sets;
+        out.push(CommittedTx { tid, version, snapshot, reads, writes });
+    }
+    Some(())
+}
+
+/// The simulator counter block, in snapshot order.
+fn sim_stats_words(s: &SimStats) -> [u64; 18] {
+    let SimStats {
+        instructions,
+        loads,
+        stores,
+        atomics,
+        fences,
+        mem_transactions,
+        uncoalesced_transactions,
+        l2_hits,
+        l2_misses,
+        divergent_instructions,
+        active_lanes,
+        lane_slots,
+        idle_cycles,
+        blocks_completed,
+        spurious_cas_failures,
+        injected_jitter_cycles,
+        parks,
+        wakes,
+    } = *s;
+    [
+        instructions,
+        loads,
+        stores,
+        atomics,
+        fences,
+        mem_transactions,
+        uncoalesced_transactions,
+        l2_hits,
+        l2_misses,
+        divergent_instructions,
+        active_lanes,
+        lane_slots,
+        idle_cycles,
+        blocks_completed,
+        spurious_cas_failures,
+        injected_jitter_cycles,
+        parks,
+        wakes,
+    ]
+}
+
+/// Inverse of [`sim_stats_words`].
+fn sim_stats_from_words(w: [u64; 18]) -> SimStats {
+    let [instructions, loads, stores, atomics, fences, mem_transactions, uncoalesced_transactions, l2_hits, l2_misses, divergent_instructions, active_lanes, lane_slots, idle_cycles, blocks_completed, spurious_cas_failures, injected_jitter_cycles, parks, wakes] =
+        w;
+    SimStats {
+        instructions,
+        loads,
+        stores,
+        atomics,
+        fences,
+        mem_transactions,
+        uncoalesced_transactions,
+        l2_hits,
+        l2_misses,
+        divergent_instructions,
+        active_lanes,
+        lane_slots,
+        idle_cycles,
+        blocks_completed,
+        spurious_cas_failures,
+        injected_jitter_cycles,
+        parks,
+        wakes,
+    }
 }
 
 /// One shard's engine. Lives on a worker thread for the whole run.
@@ -313,7 +513,7 @@ pub(crate) struct ShardEngine {
     recorder: Recorder,
     /// Slot → request id for the launch in flight (read by the hook).
     tid_map: Rc<RefCell<Vec<u64>>>,
-    commit_log: Rc<RefCell<Vec<CommitRec>>>,
+    commit_log: Rc<Cell<LogHash>>,
     accounts: Addr,
     ht_keys: Addr,
     ht_vals: Addr,
@@ -347,10 +547,10 @@ struct EngineDur {
     /// `Commit` records of the most recent batch, retained after the
     /// log flush so the worker can feed the shard's replica group.
     last_commits: Vec<WalRecord>,
-    /// `commit_log` entries already folded into `log_fnv_state`.
-    log_folded: usize,
-    /// Running FNV-1a over the request-tagged commit log.
-    log_fnv_state: u64,
+    /// Committed-history entries already written to the journal.
+    hist_commits: usize,
+    /// Journal length in bytes as of the latest snapshot.
+    hist_len: u64,
 }
 
 impl ShardEngine {
@@ -412,7 +612,7 @@ impl ShardEngine {
         let initial = sim.read_slice(Addr(span_base), span_len);
 
         let tid_map: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        let commit_log: Rc<RefCell<Vec<CommitRec>>> = Rc::new(RefCell::new(Vec::new()));
+        let commit_log = Rc::new(Cell::new(LogHash { fnv: Fnv::new().0, count: 0 }));
         let wal_pending: Rc<RefCell<Vec<WalRecord>>> = Rc::new(RefCell::new(Vec::new()));
         let wal_enabled: Rc<Cell<bool>> = Rc::new(Cell::new(false));
         let hook_map = Rc::clone(&tid_map);
@@ -422,13 +622,14 @@ impl ShardEngine {
         let recorder = recorder_with_hook(Rc::new(move |tx: &CommittedTx| {
             let req = hook_map.borrow().get(tx.tid as usize).copied().unwrap_or(u64::MAX);
             let version = tx.version.map_or(0, |v| v + 1);
-            hook_log.borrow_mut().push(CommitRec {
-                req,
-                tid: tx.tid,
-                version,
-                reads: tx.reads.len() as u32,
-                writes: tx.writes.len() as u32,
-            });
+            let log = hook_log.get();
+            let mut h = Fnv(log.fnv);
+            h.u64(req);
+            h.u32(tx.tid);
+            h.u32(version);
+            h.u32(tx.reads.len() as u32);
+            h.u32(tx.writes.len() as u32);
+            hook_log.set(LogHash { fnv: h.0, count: log.count + 1 });
             if hook_enabled.get() {
                 hook_pending.borrow_mut().push(WalRecord::Commit {
                     req,
@@ -482,8 +683,8 @@ impl ShardEngine {
                     next_seq: 1,
                     last_seal: None,
                     last_commits: Vec::new(),
-                    log_folded: 0,
-                    log_fnv_state: Fnv::new().0,
+                    hist_commits: 0,
+                    hist_len: 0,
                 })
             }
             (Some(_), None) => {
@@ -600,6 +801,12 @@ impl ShardEngine {
         self.dur.as_ref().map_or(1, |d| d.next_seq)
     }
 
+    /// Bytes of the history journal this engine's state covers (0 until
+    /// a snapshot journals or restores history).
+    pub(crate) fn journal_len(&self) -> u64 {
+        self.dur.as_ref().map_or(0, |d| d.hist_len)
+    }
+
     /// Seal of the most recently sealed batch, if any.
     pub(crate) fn last_seal(&self) -> Option<&BatchSeal> {
         self.dur.as_ref().and_then(|d| d.last_seal.as_ref())
@@ -630,8 +837,8 @@ impl ShardEngine {
     pub(crate) fn replica_resync(&self) -> (u32, Vec<u32>, u64, u64) {
         let len = self.txl_args.index() as u32 - self.span_base;
         let words = self.sim.read_slice(Addr(self.span_base), len);
-        let dur = self.dur.as_ref().expect("resync on a WAL-less engine");
-        (self.span_base, words, dur.log_fnv_state, self.commit_log.borrow().len() as u64)
+        let log = self.commit_log.get();
+        (self.span_base, words, log.fnv, log.count)
     }
 
     /// Runs one batch through the write-ahead protocol:
@@ -660,10 +867,7 @@ impl ShardEngine {
 
         self.wal_pending.borrow_mut().clear();
         let report = self.run_batch(entries)?;
-        self.flush_commits();
-        let seal = self.make_seal(seq, &report);
-        self.dur_mut().wal.append(&WalRecord::Result(seal.clone()));
-        self.dur_mut().last_seal = Some(seal);
+        self.seal_group(seq, &report);
         if self.crash_fires(seq, CrashPoint::PostPrepare) {
             return Ok(DurableOutcome::Crashed(CrashPoint::PostPrepare));
         }
@@ -676,34 +880,20 @@ impl ShardEngine {
         Ok(DurableOutcome::Done(report))
     }
 
-    /// Appends the hook-staged `Commit` records of the batch just run
-    /// and retains them for replica feeding.
-    fn flush_commits(&mut self) {
-        let pending: Vec<WalRecord> = self.wal_pending.borrow_mut().drain(..).collect();
+    /// Logs the batch just run: its hook-staged `Commit` records and
+    /// the sealing `Result`, in one store append. The commits are kept
+    /// for replica feeding.
+    fn seal_group(&mut self, seq: u64, report: &BatchReport) {
+        let commits: Vec<WalRecord> = self.wal_pending.borrow_mut().drain(..).collect();
+        let seal = self.make_seal(seq, report);
         let dur = self.dur_mut();
-        for rec in &pending {
-            dur.wal.append(rec);
-        }
-        dur.last_commits = pending;
+        dur.wal.append_all(commits.iter().chain([&WalRecord::Result(seal.clone())]));
+        dur.last_commits = commits;
+        dur.last_seal = Some(seal);
     }
 
-    /// Folds the batch's new commit-log entries into the running log
-    /// hash and builds the sealing [`BatchSeal`].
-    fn make_seal(&mut self, seq: u64, report: &BatchReport) -> BatchSeal {
-        {
-            let log = self.commit_log.borrow();
-            let dur = self.dur.as_mut().expect("make_seal on a WAL-less engine");
-            let mut h = Fnv(dur.log_fnv_state);
-            for rec in &log[dur.log_folded..] {
-                h.u64(rec.req);
-                h.u32(rec.tid);
-                h.u32(rec.version);
-                h.u32(rec.reads);
-                h.u32(rec.writes);
-            }
-            dur.log_folded = log.len();
-            dur.log_fnv_state = h.0;
-        }
+    /// Builds the sealing [`BatchSeal`] of a batch.
+    fn make_seal(&self, seq: u64, report: &BatchReport) -> BatchSeal {
         BatchSeal {
             seq,
             outcomes: report.outcomes.clone(),
@@ -712,16 +902,28 @@ impl ShardEngine {
             aborts: report.aborts,
             storm: report.storm,
             data_fnv: self.data_fnv(),
-            log_fnv: self.dur.as_ref().unwrap().log_fnv_state,
+            log_fnv: self.commit_log.get().fnv,
         }
     }
 
-    /// Snapshot cadence: every `segment_batches`-th batch, snapshot the
-    /// engine, roll to a fresh segment, and (optionally) compact.
+    /// Snapshot cadence: every `segment_batches`-th batch, journal the
+    /// history added since the last snapshot, snapshot the engine, roll
+    /// to a fresh segment, and (optionally) compact.
     fn maybe_cadence(&mut self, seq: u64) {
         let params = self.dur.as_ref().expect("cadence on a WAL-less engine").params;
         if !seq.is_multiple_of(params.segment_batches) {
             return;
+        }
+        {
+            let history = self.recorder.borrow();
+            let dur = self.dur.as_mut().expect("cadence on a WAL-less engine");
+            let delta = &history.commits[dur.hist_commits..];
+            if !delta.is_empty() {
+                let mut e = Enc::new();
+                enc_commits(&mut e, delta);
+                dur.hist_len += dur.wal.append_history(&e.0);
+                dur.hist_commits = history.commits.len();
+            }
         }
         let payload = self.snapshot_payload(seq);
         let dur = self.dur_mut();
@@ -799,10 +1001,7 @@ impl ShardEngine {
     ) -> Result<BatchReport, ServeError> {
         self.wal_pending.borrow_mut().clear();
         let report = self.run_batch(entries)?;
-        self.flush_commits();
-        let seal = self.make_seal(seq, &report);
-        self.dur_mut().wal.append(&WalRecord::Result(seal.clone()));
-        self.dur_mut().last_seal = Some(seal);
+        self.seal_group(seq, &report);
         self.maybe_cadence(seq);
         self.dur_mut().next_seq = seq + 1;
         Ok(report)
@@ -810,69 +1009,45 @@ impl ShardEngine {
 
     // ---- snapshot encode / restore -------------------------------------
 
-    /// Serializes the complete engine state after batch `seq`: the full
-    /// simulator image (memory, L2 tags, lifetime counters), STM
-    /// transaction stats, host-side wrapper state (scheduler window,
-    /// backoff RNG), the committed history, the request-tagged commit
-    /// log, and the last batch seal.
+    /// Serializes the engine state after batch `seq` (payload format
+    /// [`SNAPSHOT_VERSION`]). A fixed-width header leads: the history
+    /// trailer (aborts, commit count, journal length), the commit-log
+    /// hash and count, and the TXL launch counter. Then come the
+    /// simulator image (memory; the valid L2 lines as `(index, tag,
+    /// stamp)`, since an invalid line always has tag 0 and stamp 0;
+    /// lifetime counters), STM transaction stats, host-side wrapper
+    /// state (scheduler window, backoff RNG) and the last batch seal.
+    /// The committed history itself is in the journal, so the payload
+    /// grows with the live state, not with the run length.
     fn snapshot_payload(&self, seq: u64) -> Vec<u8> {
+        let dur = self.dur.as_ref().expect("snapshot on a WAL-less engine");
         let mut e = Enc::new();
-        e.u32(1); // payload format version
+        e.u32(SNAPSHOT_VERSION);
         e.u64(seq);
+        e.u64(self.recorder.borrow().aborts);
+        e.u64(dur.hist_commits as u64);
+        e.u64(dur.hist_len);
+        let log = self.commit_log.get();
+        e.u64(log.fnv);
+        e.u64(log.count);
+        e.u64(self.txl_launch_seq);
 
         let ck = self.sim.checkpoint();
         e.u32(ck.memory.len() as u32);
         for &w in &ck.memory {
             e.u32(w);
         }
-        e.u32(ck.cache.tags.len() as u32);
-        for &t in &ck.cache.tags {
-            e.u64(t);
+        let CacheCheckpoint { tags, stamps, tick } = &ck.cache;
+        let valid: Vec<usize> = (0..tags.len()).filter(|&i| tags[i] != 0).collect();
+        e.u32(tags.len() as u32);
+        e.u32(valid.len() as u32);
+        for i in valid {
+            e.u32(i as u32);
+            e.u64(tags[i]);
+            e.u64(stamps[i]);
         }
-        for &s in &ck.cache.stamps {
-            e.u64(s);
-        }
-        e.u64(ck.cache.tick);
-        let SimStats {
-            instructions,
-            loads,
-            stores,
-            atomics,
-            fences,
-            mem_transactions,
-            uncoalesced_transactions,
-            l2_hits,
-            l2_misses,
-            divergent_instructions,
-            active_lanes,
-            lane_slots,
-            idle_cycles,
-            blocks_completed,
-            spurious_cas_failures,
-            injected_jitter_cycles,
-            parks,
-            wakes,
-        } = ck.stats;
-        for v in [
-            instructions,
-            loads,
-            stores,
-            atomics,
-            fences,
-            mem_transactions,
-            uncoalesced_transactions,
-            l2_hits,
-            l2_misses,
-            divergent_instructions,
-            active_lanes,
-            lane_slots,
-            idle_cycles,
-            blocks_completed,
-            spurious_cas_failures,
-            injected_jitter_cycles,
-            parks,
-            wakes,
-        ] {
+        e.u64(*tick);
+        for v in sim_stats_words(&ck.stats) {
             e.u64(v);
         }
         e.u64(ck.cycles);
@@ -903,41 +1078,6 @@ impl ShardEngine {
             }
             None => e.u8(0),
         }
-
-        let history = self.recorder.borrow();
-        e.u64(history.aborts);
-        e.u32(history.commits.len() as u32);
-        for tx in &history.commits {
-            e.u32(tx.tid);
-            e.u32(tx.version.map_or(0, |v| v + 1));
-            e.u32(tx.snapshot);
-            e.u32(tx.reads.len() as u32);
-            for a in &tx.reads {
-                e.u32(a.addr.index() as u32);
-                e.u32(a.val);
-            }
-            e.u32(tx.writes.len() as u32);
-            for a in &tx.writes {
-                e.u32(a.addr.index() as u32);
-                e.u32(a.val);
-            }
-        }
-        drop(history);
-
-        let log = self.commit_log.borrow();
-        e.u32(log.len() as u32);
-        for rec in log.iter() {
-            e.u64(rec.req);
-            e.u32(rec.tid);
-            e.u32(rec.version);
-            e.u32(rec.reads);
-            e.u32(rec.writes);
-        }
-        drop(log);
-
-        let dur = self.dur.as_ref().expect("snapshot on a WAL-less engine");
-        e.u64(dur.log_fnv_state);
-        e.u64(self.txl_launch_seq);
         match &dur.last_seal {
             Some(seal) => {
                 e.u8(1);
@@ -950,158 +1090,57 @@ impl ShardEngine {
 
     /// Restores state captured by `snapshot_payload` into this freshly
     /// constructed engine (same config ⇒ same deterministic device
-    /// allocations). Returns the snapshot's batch sequence number.
+    /// allocations), reading the committed history back from the
+    /// journal prefix the snapshot records. Returns the snapshot's batch
+    /// sequence number. Everything is checked before any state changes.
     ///
     /// # Errors
     ///
-    /// Fails on a corrupt or layout-incompatible payload.
+    /// Fails on a corrupt or layout-incompatible payload (including a
+    /// memory image, L2 geometry or L2 line index that does not fit this
+    /// engine), and on a journal that is short, torn, or holds a
+    /// different number of commits than the snapshot records.
     pub(crate) fn restore_snapshot(&mut self, payload: &[u8]) -> Result<u64, ServeError> {
         let shard = self.cfg.shard;
         let fail = |m: &str| ServeError::Engine { shard, message: format!("snapshot: {m}") };
-        let mut d = Dec::new(payload);
-        let mut go = || -> Option<u64> {
-            if d.u32()? != 1 {
-                return None;
-            }
-            let seq = d.u64()?;
+        let snap = decode_snapshot(payload, self.sim.allocated(), self.sim.config().cache.lines())
+            .ok_or_else(|| fail("corrupt or incompatible payload"))?;
+        let dur = self.dur.as_mut().ok_or_else(|| fail("restore on a WAL-less engine"))?;
+        let mut commits = Vec::new();
+        for delta in dur.wal.read_history(snap.hist_len).map_err(|m| fail(&m))? {
+            let mut d = Dec::new(&delta);
+            dec_commits(&mut d, &mut commits)
+                .and_then(|()| d.done())
+                .ok_or_else(|| fail("corrupt history journal delta"))?;
+        }
+        if commits.len() as u64 != snap.hist_commits {
+            return Err(fail(&format!(
+                "history journal holds {} commits, the snapshot records {}",
+                commits.len(),
+                snap.hist_commits
+            )));
+        }
 
-            let mem_len = d.u32()? as usize;
-            let mut memory = Vec::with_capacity(mem_len);
-            for _ in 0..mem_len {
-                memory.push(d.u32()?);
-            }
-            let lines = d.u32()? as usize;
-            let mut tags = Vec::with_capacity(lines);
-            for _ in 0..lines {
-                tags.push(d.u64()?);
-            }
-            let mut stamps = Vec::with_capacity(lines);
-            for _ in 0..lines {
-                stamps.push(d.u64()?);
-            }
-            let tick = d.u64()?;
-            let mut sim_stats = [0u64; 18];
-            for v in sim_stats.iter_mut() {
-                *v = d.u64()?;
-            }
-            let cycles = d.u64()?;
-            let launches = d.u64()?;
-
-            let tx_len = d.u32()? as usize;
-            let mut tx_words = Vec::with_capacity(tx_len);
-            for _ in 0..tx_len {
-                tx_words.push(d.u64()?);
-            }
-            let tx = TxStats::decode(&tx_words)?;
-
-            let sched = if d.u8()? == 1 {
-                Some(SchedulerCheckpoint {
-                    limit: d.u32()?,
-                    in_flight: d.u32()?,
-                    window_commits: d.u64()?,
-                    window_aborts: d.u64()?,
-                    adaptations: d.u64()?,
-                    storm: d.u8()? != 0,
-                })
-            } else {
-                None
-            };
-            let robust_rng = if d.u8()? == 1 { Some(d.u64()?) } else { None };
-
-            let aborts = d.u64()?;
-            let n_commits = d.u32()? as usize;
-            let mut commits = Vec::with_capacity(n_commits);
-            for _ in 0..n_commits {
-                let tid = d.u32()?;
-                let version = d.u32()?;
-                let snapshot = d.u32()?;
-                let n_reads = d.u32()? as usize;
-                let mut reads = Vec::with_capacity(n_reads);
-                for _ in 0..n_reads {
-                    reads.push(Access { addr: Addr(d.u32()?), val: d.u32()? });
-                }
-                let n_writes = d.u32()? as usize;
-                let mut writes = Vec::with_capacity(n_writes);
-                for _ in 0..n_writes {
-                    writes.push(Access { addr: Addr(d.u32()?), val: d.u32()? });
-                }
-                commits.push(CommittedTx {
-                    tid,
-                    version: version.checked_sub(1),
-                    snapshot,
-                    reads,
-                    writes,
-                });
-            }
-
-            let n_log = d.u32()? as usize;
-            let mut log = Vec::with_capacity(n_log);
-            for _ in 0..n_log {
-                log.push(CommitRec {
-                    req: d.u64()?,
-                    tid: d.u32()?,
-                    version: d.u32()?,
-                    reads: d.u32()?,
-                    writes: d.u32()?,
-                });
-            }
-            let log_fnv_state = d.u64()?;
-            let txl_launch_seq = d.u64()?;
-            let last_seal = if d.u8()? == 1 { Some(dec_seal(&mut d)?) } else { None };
-            d.done()?;
-
-            let [instructions, loads, stores, atomics, fences, mem_transactions, uncoalesced_transactions, l2_hits, l2_misses, divergent_instructions, active_lanes, lane_slots, idle_cycles, blocks_completed, spurious_cas_failures, injected_jitter_cycles, parks, wakes] =
-                sim_stats;
-            let ck = SimCheckpoint {
-                memory,
-                cache: CacheCheckpoint { tags, stamps, tick },
-                stats: SimStats {
-                    instructions,
-                    loads,
-                    stores,
-                    atomics,
-                    fences,
-                    mem_transactions,
-                    uncoalesced_transactions,
-                    l2_hits,
-                    l2_misses,
-                    divergent_instructions,
-                    active_lanes,
-                    lane_slots,
-                    idle_cycles,
-                    blocks_completed,
-                    spurious_cas_failures,
-                    injected_jitter_cycles,
-                    parks,
-                    wakes,
-                },
-                cycles,
-                launches,
-            };
-            self.sim.restore_checkpoint(&ck);
-            *self.stm.stats().borrow_mut() = tx;
-            if let (Some(sched_stm), Some(sc)) = (self.stm.sched(), sched.as_ref()) {
-                sched_stm.restore_checkpoint(sc);
-            }
-            if let (Some(robust_stm), Some(rng)) = (self.stm.robust(), robust_rng) {
-                robust_stm.restore_rng_state(rng);
-            }
-            {
-                let mut h = self.recorder.borrow_mut();
-                h.commits = commits;
-                h.aborts = aborts;
-            }
-            let folded = log.len();
-            *self.commit_log.borrow_mut() = log;
-            self.txl_launch_seq = txl_launch_seq;
-            let dur = self.dur.as_mut()?;
-            dur.next_seq = seq + 1;
-            dur.last_seal = last_seal;
-            dur.log_folded = folded;
-            dur.log_fnv_state = log_fnv_state;
-            Some(seq)
-        };
-        go().ok_or_else(|| fail("corrupt or incompatible payload"))
+        dur.next_seq = snap.seq + 1;
+        dur.last_seal = snap.last_seal;
+        dur.hist_commits = commits.len();
+        dur.hist_len = snap.hist_len;
+        self.sim.restore_checkpoint(&snap.sim);
+        *self.stm.stats().borrow_mut() = snap.tx;
+        if let (Some(sched_stm), Some(sc)) = (self.stm.sched(), snap.sched.as_ref()) {
+            sched_stm.restore_checkpoint(sc);
+        }
+        if let (Some(robust_stm), Some(rng)) = (self.stm.robust(), snap.robust_rng) {
+            robust_stm.restore_rng_state(rng);
+        }
+        {
+            let mut h = self.recorder.borrow_mut();
+            h.commits = commits;
+            h.aborts = snap.aborts;
+        }
+        self.commit_log.set(snap.log);
+        self.txl_launch_seq = snap.txl_launch_seq;
+        Ok(snap.seq)
     }
 
     fn run_ops_launch(
@@ -1398,14 +1437,6 @@ impl ShardEngine {
                 hist_fnv.u32(a.val);
             }
         }
-        let mut log_fnv = Fnv::new();
-        for rec in self.commit_log.borrow().iter() {
-            log_fnv.u64(rec.req);
-            log_fnv.u32(rec.tid);
-            log_fnv.u32(rec.version);
-            log_fnv.u32(rec.reads);
-            log_fnv.u32(rec.writes);
-        }
 
         let acc_base = (self.accounts.index() as u32 - span_base) as usize;
         let balance_sum: u64 = final_span[acc_base..acc_base + self.cfg.accounts as usize]
@@ -1429,7 +1460,7 @@ impl ShardEngine {
             read_only: check.read_only,
             violations,
             history_fnv: hist_fnv.0,
-            commit_log_fnv: log_fnv.0,
+            commit_log_fnv: self.commit_log.get().fnv,
             balance_sum,
             txl_sum,
         }

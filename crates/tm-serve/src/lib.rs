@@ -63,6 +63,7 @@
 //! assert_eq!(report.violations_total, 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod crash;

@@ -12,9 +12,15 @@
 //!    segment's original bytes.
 //! 2. **Snapshot restore** — a fresh engine (same config ⇒ same
 //!    deterministic device allocations) absorbs the latest checksummed
-//!    snapshot: simulator memory + L2 tags, lifetime counters, STM
-//!    stats, scheduler/backoff wrapper state, the committed history and
-//!    the request-tagged commit log.
+//!    snapshot (payload format 2): simulator memory, the valid L2 lines,
+//!    lifetime counters, STM stats, scheduler/backoff wrapper state, and
+//!    the running hash and count of the request-tagged commit log. The
+//!    committed history comes from the shard's `hist` journal: exactly
+//!    the prefix the snapshot records, every frame verified and the
+//!    commit count checked, with any longer tail truncated. With no
+//!    snapshot the journal is truncated to empty. Every layout check
+//!    runs before any state changes, so corrupt bytes yield an error,
+//!    never a panic.
 //! 3. **Tail replay** — batches logged after the snapshot re-execute.
 //!    A *complete* group (its sealing `Result` is durable) re-executes
 //!    without re-appending, and the regenerated commit stream and seal
@@ -30,7 +36,8 @@
 use crate::engine::{BatchReport, DurableOutcome, EngineConfig, Entry, ShardEngine, ShardOp};
 use crate::error::ServeError;
 use crate::wal::{
-    latest_snapshot, read_decisions, read_shard_wal, seg_name, BatchSeal, StoreHandle, WalRecord,
+    latest_snapshot, read_decisions, read_shard_wal, seg_name, truncate_history, BatchSeal,
+    StoreHandle, WalRecord,
 };
 use std::collections::BTreeMap;
 
@@ -113,6 +120,10 @@ pub(crate) fn recover(cfg: EngineConfig, store: StoreHandle) -> Result<Recovered
         }
         snapshot_seq = seq;
     }
+    // Journal deltas past the restored state (or any journal, with no
+    // snapshot) belong to snapshots that never landed; replay appends
+    // them again.
+    truncate_history(&store, shard, engine.journal_len());
 
     // 3. Tail replay.
     let mut groups: Vec<Group> = Vec::new();

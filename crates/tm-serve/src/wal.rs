@@ -11,6 +11,7 @@
 //! ```text
 //! s{shard:03}/wal-{segment:08}   log segments, records appended in order
 //! s{shard:03}/snap-{seq:08}      engine snapshot taken after batch `seq`
+//! s{shard:03}/hist               committed-history journal, one delta per snapshot
 //! coord/decisions                coordinator 2PC decision log
 //! ```
 //!
@@ -26,10 +27,20 @@
 //!
 //! The record stream per batch is: one [`WalRecord::Batch`] (the sealed
 //! entries, written *before* execution), the batch's
-//! [`WalRecord::Commit`] records (request-tagged write-sets captured by
-//! the commit hook, flushed after execution), then one
-//! [`WalRecord::Result`] sealing the group. A batch whose `Result` is
-//! present is durable; replay verifies re-execution against it.
+//! [`WalRecord::Commit`] records (request-tagged write-sets staged by
+//! the commit hook), then one [`WalRecord::Result`] sealing the group.
+//! The commits and the `Result` go to the store in a single append
+//! after execution. A batch whose `Result` is present is durable;
+//! replay verifies re-execution against it.
+//!
+//! ## History journal
+//!
+//! Snapshots do not carry the committed history. At each snapshot the
+//! engine appends the commits made since the previous snapshot to the
+//! shard's `hist` blob as one framed delta (kind [`HIST_KIND`]), and
+//! the snapshot records the journal length. Restore reads exactly that
+//! prefix, verifying every frame, and truncates any longer tail: a
+//! delta appended by a snapshot that never landed.
 
 use crate::engine::{Entry, EntryOutcome, Fnv, ShardOp};
 use std::collections::BTreeMap;
@@ -42,6 +53,10 @@ pub(crate) const MAGIC: u32 = 0x57414C31; // "WAL1"
 
 /// Blob name of the coordinator's 2PC decision log.
 pub(crate) const DECISIONS: &str = "coord/decisions";
+
+/// Frame kind of a history-journal delta (snapshots use kind 0, WAL
+/// records kinds 1–5).
+pub(crate) const HIST_KIND: u8 = 6;
 
 /// Named-blob storage backing the WAL: the minimal object-store surface
 /// (append-only segments plus whole-blob put/get) that both an
@@ -146,7 +161,7 @@ impl BlobStore for MemStore {
     }
 }
 
-///// Blob store over a directory: blob names map to relative paths
+/// Blob store over a directory: blob names map to relative paths
 /// (the `/` in segment names becomes a subdirectory).
 pub struct DirStore {
     root: PathBuf,
@@ -269,6 +284,14 @@ impl<'a> Dec<'a> {
         Some(u64::from_le_bytes(bytes.try_into().unwrap()))
     }
 
+    /// Reads a `u32` element count, rejecting one whose elements (at
+    /// least `min_bytes` each) cannot fit in the rest of the buffer, so
+    /// a corrupt count never sizes an allocation.
+    pub(crate) fn count(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = self.u32()? as usize;
+        (n.saturating_mul(min_bytes) <= self.buf.len() - self.pos).then_some(n)
+    }
+
     /// `Some(())` iff the cursor consumed the whole buffer.
     pub(crate) fn done(&self) -> Option<()> {
         (self.pos == self.buf.len()).then_some(())
@@ -309,7 +332,7 @@ pub(crate) enum WalRecord {
     /// One committed transaction's request tag and write-set, captured
     /// by the commit hook in commit order. Replicas apply exactly these
     /// writes; `reads` is a count only (full read-sets live in the
-    /// snapshot-carried history).
+    /// history journal).
     Commit {
         /// Originating request id (`u64::MAX` for internal ops).
         req: u64,
@@ -395,8 +418,7 @@ impl WalRecord {
 
     /// Full framed encoding: `[MAGIC][kind][len][payload][fnv]`.
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        frame(self.kind(), &payload)
+        frame(self.kind(), &self.payload())
     }
 
     fn decode(kind: u8, payload: &[u8]) -> Option<WalRecord> {
@@ -404,7 +426,7 @@ impl WalRecord {
         let rec = match kind {
             1 => {
                 let seq = d.u64()?;
-                let n = d.u32()? as usize;
+                let n = d.count(21)?;
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let req = d.u64()?;
@@ -419,7 +441,7 @@ impl WalRecord {
                 let version = d.u32()?;
                 let snapshot = d.u32()?;
                 let reads = d.u32()?;
-                let n = d.u32()? as usize;
+                let n = d.count(8)?;
                 let mut writes = Vec::with_capacity(n);
                 for _ in 0..n {
                     writes.push((d.u32()?, d.u32()?));
@@ -434,7 +456,7 @@ impl WalRecord {
             }
             5 => {
                 let base = d.u32()?;
-                let n = d.u32()? as usize;
+                let n = d.count(4)?;
                 let mut words = Vec::with_capacity(n);
                 for _ in 0..n {
                     words.push(d.u32()?);
@@ -468,7 +490,7 @@ pub(crate) fn enc_seal(e: &mut Enc, r: &BatchSeal) {
 /// Decodes a [`BatchSeal`] written by [`enc_seal`].
 pub(crate) fn dec_seal(d: &mut Dec) -> Option<BatchSeal> {
     let seq = d.u64()?;
-    let n = d.u32()? as usize;
+    let n = d.count(5)?;
     let mut outcomes = Vec::with_capacity(n);
     for _ in 0..n {
         let ok = d.u8()? != 0;
@@ -509,25 +531,27 @@ fn frame_fnv(kind: u8, payload: &[u8]) -> u64 {
     h.0
 }
 
-/// Attempts to read one framed record at `buf[pos..]`. Returns the
-/// record and the following offset, or `None` if the frame is
-/// incomplete or corrupt (a torn tail when at the end of the log).
-fn read_frame(buf: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
-    let header = buf.get(pos..pos + 9)?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if magic != MAGIC {
+/// Attempts to read one frame at `buf[pos..]`. Returns its kind, its
+/// payload and the following offset, or `None` if the frame is
+/// incomplete or its checksum fails (a torn tail when at the end).
+fn unframe(buf: &[u8], pos: usize) -> Option<(u8, &[u8], usize)> {
+    let header = buf.get(pos..pos.checked_add(9)?)?;
+    if u32::from_le_bytes(header[0..4].try_into().unwrap()) != MAGIC {
         return None;
     }
     let kind = header[4];
     let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
     let payload = buf.get(pos + 9..pos + 9 + len)?;
-    let sum_bytes = buf.get(pos + 9 + len..pos + 17 + len)?;
-    let sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    if sum != frame_fnv(kind, payload) {
-        return None;
-    }
-    let rec = WalRecord::decode(kind, payload)?;
-    Some((rec, pos + 17 + len))
+    let sum = u64::from_le_bytes(buf.get(pos + 9 + len..pos + 17 + len)?.try_into().unwrap());
+    (sum == frame_fnv(kind, payload)).then_some((kind, payload, pos + 17 + len))
+}
+
+/// Attempts to read one framed record at `buf[pos..]`. Returns the
+/// record and the following offset, or `None` if the frame is
+/// incomplete or corrupt (a torn tail when at the end of the log).
+fn read_frame(buf: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
+    let (kind, payload, next) = unframe(buf, pos)?;
+    Some((WalRecord::decode(kind, payload)?, next))
 }
 
 fn encode_op(e: &mut Enc, op: ShardOp) {
@@ -573,6 +597,11 @@ pub(crate) fn seg_name(shard: usize, seg: u64) -> String {
 /// Snapshot blob name for `shard`, taken after batch `seq`.
 pub(crate) fn snap_name(shard: usize, seq: u64) -> String {
     format!("s{shard:03}/snap-{seq:08}")
+}
+
+/// History-journal blob name for `shard`.
+pub(crate) fn hist_name(shard: usize) -> String {
+    format!("s{shard:03}/hist")
 }
 
 fn parse_suffix(name: &str, sep: char) -> Option<u64> {
@@ -676,10 +705,20 @@ impl WalWriter {
 
     /// Appends one record to the current segment.
     pub(crate) fn append(&mut self, rec: &WalRecord) {
-        self.store.append(&seg_name(self.shard, self.seg), &rec.encode());
-        if matches!(rec, WalRecord::Batch { .. }) {
-            self.seg_batches += 1;
+        self.append_all([rec]);
+    }
+
+    /// Appends `recs` to the current segment with one store append; the
+    /// bytes equal those of appending each record in turn.
+    pub(crate) fn append_all<'a>(&mut self, recs: impl IntoIterator<Item = &'a WalRecord>) {
+        let mut bytes = Vec::new();
+        for rec in recs {
+            bytes.extend(rec.encode());
+            if matches!(rec, WalRecord::Batch { .. }) {
+                self.seg_batches += 1;
+            }
         }
+        self.store.append(&seg_name(self.shard, self.seg), &bytes);
     }
 
     /// Appends only the first `keep` bytes of `rec`'s encoding — the
@@ -719,6 +758,19 @@ impl WalWriter {
         }
     }
 
+    /// Appends one history delta to the shard's journal and returns the
+    /// framed length added.
+    pub(crate) fn append_history(&self, delta: &[u8]) -> u64 {
+        let bytes = frame(HIST_KIND, delta);
+        self.store.append(&hist_name(self.shard), &bytes);
+        bytes.len() as u64
+    }
+
+    /// See [`read_history`].
+    pub(crate) fn read_history(&self, len: u64) -> Result<Vec<Vec<u8>>, String> {
+        read_history(&self.store, self.shard, len)
+    }
+
     /// `Batch` records in the current segment.
     #[cfg(test)]
     pub(crate) fn seg_batches(&self) -> u64 {
@@ -738,24 +790,59 @@ pub(crate) fn latest_snapshot(store: &StoreHandle, shard: usize) -> Option<(u64,
     let name = store.list(&format!("s{shard:03}/snap-")).pop()?;
     let seq = parse_suffix(&name, '-')?;
     let bytes = store.get(&name)?;
-    let (rec_bytes, _) = verify_snapshot_frame(&bytes)?;
-    Some((seq, rec_bytes))
+    match unframe(&bytes, 0)? {
+        (0, payload, _) => Some((seq, payload.to_vec())),
+        _ => None,
+    }
 }
 
-/// Verifies a snapshot blob's `[MAGIC][0][len][payload][fnv]` frame and
-/// returns the payload.
-fn verify_snapshot_frame(buf: &[u8]) -> Option<(Vec<u8>, usize)> {
-    let header = buf.get(..9)?;
-    if u32::from_le_bytes(header[0..4].try_into().unwrap()) != MAGIC || header[4] != 0 {
-        return None;
+/// Reads the first `len` bytes of `shard`'s history journal as delta
+/// payloads, in append order, verifying every frame.
+///
+/// # Errors
+///
+/// A journal shorter than `len`, or a frame in the prefix that is torn
+/// or of the wrong kind, is corruption.
+pub(crate) fn read_history(
+    store: &StoreHandle,
+    shard: usize,
+    len: u64,
+) -> Result<Vec<Vec<u8>>, String> {
+    let name = hist_name(shard);
+    let bytes = store.get(&name).unwrap_or_default();
+    let Some(prefix) = usize::try_from(len).ok().and_then(|n| bytes.get(..n)) else {
+        return Err(format!(
+            "history journal {name:?} holds {} bytes, the snapshot records {len}",
+            bytes.len()
+        ));
+    };
+    let mut deltas = Vec::new();
+    let mut pos = 0;
+    while pos < prefix.len() {
+        match unframe(prefix, pos) {
+            Some((HIST_KIND, payload, next)) => {
+                deltas.push(payload.to_vec());
+                pos = next;
+            }
+            _ => return Err(format!("corrupt history journal frame at byte {pos} of {name:?}")),
+        }
     }
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
-    let payload = buf.get(9..9 + len)?;
-    let sum = u64::from_le_bytes(buf.get(9 + len..17 + len)?.try_into().unwrap());
-    if sum != frame_fnv(0, payload) {
-        return None;
+    Ok(deltas)
+}
+
+/// Truncates `shard`'s history journal to its first `len` bytes,
+/// removing the blob when `len` is 0: the tail is deltas appended by
+/// snapshots that never landed, which replay appends again.
+pub(crate) fn truncate_history(store: &StoreHandle, shard: usize, len: u64) {
+    let name = hist_name(shard);
+    let Some(bytes) = store.get(&name) else { return };
+    if len == 0 {
+        store.delete(&name);
+    } else if let Some(prefix) =
+        usize::try_from(len).ok().and_then(|n| bytes.get(..n)).filter(|p| p.len() < bytes.len())
+    {
+        store.put(&name, prefix);
     }
-    Some((payload.to_vec(), 17 + len))
 }
 
 /// Appends a coordinator 2PC decision to the shared decision log.
@@ -763,7 +850,7 @@ pub(crate) fn append_decision(store: &StoreHandle, req: u64, commit: bool) {
     store.append(DECISIONS, &WalRecord::Decision { req, commit }.encode());
 }
 
-///// Reads the coordinator decision log: request id → decision. A torn
+/// Reads the coordinator decision log: request id → decision. A torn
 /// final record (coordinator died mid-append) is dropped — by presumed
 /// abort, an unlogged decision is an abort.
 pub(crate) fn read_decisions(store: &StoreHandle) -> BTreeMap<u64, bool> {

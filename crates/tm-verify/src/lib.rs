@@ -35,6 +35,7 @@
 //! assert!(report.stats.schedules_run >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod controller;

@@ -41,6 +41,8 @@
 //! | 1    | findings (lint), or pending/residual repairs or gate violations (fix) |
 //! | 2    | usage, I/O, or parse/check errors |
 
+#![forbid(unsafe_code)]
+
 use std::io::Read;
 use std::process::ExitCode;
 use txl::fix::{dynamic_check, fix_source, FixConfig, FixReport};

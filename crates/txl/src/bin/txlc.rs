@@ -9,6 +9,8 @@
 //! ```
 //! Exits nonzero (with a diagnostic on stderr) on any error.
 
+#![forbid(unsafe_code)]
+
 use std::io::Read;
 use std::process::ExitCode;
 use txl::ast::{Kernel, Stmt};

@@ -22,6 +22,7 @@
 //! All workloads are deterministic given their seed, so cycle counts,
 //! commit/abort statistics and final memory are reproducible bit-for-bit.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod common;

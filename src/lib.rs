@@ -20,6 +20,8 @@
 //! See `examples/` for runnable entry points and `crates/bench` for the
 //! binaries that regenerate the paper's tables and figures.
 
+#![forbid(unsafe_code)]
+
 /// The SIMT GPU simulator substrate.
 pub use gpu_sim as sim;
 

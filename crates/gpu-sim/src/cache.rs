@@ -85,18 +85,13 @@ impl L2Cache {
         let set = (segment as usize) & (self.cfg.sets - 1);
         let base = set * self.cfg.ways;
         let key = segment as u64 + 1;
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for i in base..base + self.cfg.ways {
-            if self.tags[i] == key {
-                self.stamps[i] = self.tick;
-                return CacheOutcome::Hit;
-            }
-            if self.stamps[i] < victim_stamp {
-                victim_stamp = self.stamps[i];
-                victim = i;
-            }
+        let ways = base..base + self.cfg.ways;
+        if let Some(way) = self.tags[ways.clone()].iter().position(|&t| t == key) {
+            self.stamps[base + way] = self.tick;
+            return CacheOutcome::Hit;
         }
+        // The least recently used way; the first of equals.
+        let victim = ways.min_by_key(|&i| self.stamps[i]).expect("ways is nonzero");
         self.tags[victim] = key;
         self.stamps[victim] = self.tick;
         CacheOutcome::Miss

@@ -15,17 +15,30 @@ use crate::memory::Addr;
 /// Words per coalescing segment: 128 bytes = 32 × 4-byte words.
 pub const SEGMENT_WORDS: u32 = 32;
 
-/// Result of coalescing one warp-wide access.
+/// Result of coalescing one warp-wide access: at most one segment per
+/// lane, held inline so a memory instruction allocates nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Coalesced {
-    /// Distinct 128-byte segments touched, in first-touch order.
-    pub segments: Vec<u32>,
+    segments: [u32; WARP_SIZE],
+    len: usize,
 }
 
 impl Coalesced {
+    const EMPTY: Coalesced = Coalesced { segments: [0; WARP_SIZE], len: 0 };
+
+    /// Distinct 128-byte segments touched, in first-touch order.
+    pub fn segments(&self) -> &[u32] {
+        &self.segments[..self.len]
+    }
+
     /// Number of memory transactions this access costs.
     pub fn transactions(&self) -> u32 {
-        self.segments.len() as u32
+        self.len as u32
+    }
+
+    fn push(&mut self, seg: u32) {
+        self.segments[self.len] = seg;
+        self.len += 1;
     }
 }
 
@@ -48,14 +61,14 @@ impl Coalesced {
 /// assert_eq!(coalesce(LaneMask::FULL, &addrs).transactions(), 1);
 /// ```
 pub fn coalesce(mask: LaneMask, addrs: &[Addr; WARP_SIZE]) -> Coalesced {
-    let mut segments: Vec<u32> = Vec::with_capacity(4);
+    let mut c = Coalesced::EMPTY;
     for lane in mask.iter() {
         let seg = addrs[lane].segment();
-        if !segments.contains(&seg) {
-            segments.push(seg);
+        if !c.segments().contains(&seg) {
+            c.push(seg);
         }
     }
-    Coalesced { segments }
+    c
 }
 
 /// Coalesces a single-address access (every active lane hits `addr`).
@@ -63,11 +76,11 @@ pub fn coalesce(mask: LaneMask, addrs: &[Addr; WARP_SIZE]) -> Coalesced {
 /// GPU hardware broadcasts such accesses in one transaction; atomics to the
 /// same word instead serialise, which the timing model charges separately.
 pub fn coalesce_uniform(mask: LaneMask, addr: Addr) -> Coalesced {
-    if mask.none() {
-        Coalesced { segments: Vec::new() }
-    } else {
-        Coalesced { segments: vec![addr.segment()] }
+    let mut c = Coalesced::EMPTY;
+    if mask.any() {
+        c.push(addr.segment());
     }
+    c
 }
 
 /// Counts, for an atomic warp instruction, how many lanes target each
@@ -102,7 +115,7 @@ mod tests {
         let addrs = addrs_from(|i| 128 + i);
         let c = coalesce(LaneMask::FULL, &addrs);
         assert_eq!(c.transactions(), 1);
-        assert_eq!(c.segments, vec![4]);
+        assert_eq!(c.segments(), [4]);
     }
 
     #[test]
@@ -132,7 +145,7 @@ mod tests {
         let c = coalesce(LaneMask::FULL, &addrs);
         assert_eq!(c.transactions(), 2);
         // First-touch order: lane 0 touches segment 0 first.
-        assert_eq!(c.segments, vec![0, 1]);
+        assert_eq!(c.segments(), [0, 1]);
     }
 
     #[test]

@@ -678,7 +678,7 @@ impl Sim {
                     }
                     Poll::Ready(()) => StepEffect::Retire,
                 };
-                p.observe(&StepRecord { block, warp_in_block, effect });
+                p.observe(StepRecord { block, warp_in_block, effect });
             }
             match poll {
                 Poll::Pending => {
@@ -796,6 +796,8 @@ struct Scheduler {
     // and the policy picks the next one; the heap (and shuffle) are unused.
     policy: Option<PolicyHandle>,
     ctl_queue: Vec<(u64, usize)>,
+    // The runnable list handed to the policy, refilled at every decision.
+    ctl_runnable: Vec<RunnableWarp>,
     // Monotonic clock for controlled mode: picking a warp whose ready cycle
     // lies before an already-issued instruction must not rewind time.
     ctl_now: u64,
@@ -817,6 +819,7 @@ impl Scheduler {
             live: 0,
             policy,
             ctl_queue: Vec::new(),
+            ctl_runnable: Vec::new(),
             ctl_now: 0,
             parked: BTreeMap::new(),
         }
@@ -874,20 +877,18 @@ impl Scheduler {
         if self.ctl_queue.is_empty() {
             return None;
         }
-        let Scheduler { slots, ctl_queue, ctl_now, .. } = self;
+        let Scheduler { slots, ctl_queue, ctl_runnable: runnable, ctl_now, .. } = self;
         let ident = |slot: usize| {
             let s = slots[slot].as_ref().expect("queued warp has a slot");
             (s.block, s.warp_in_block)
         };
         ctl_queue.sort_by_key(|&(_, slot)| ident(slot));
-        let runnable: Vec<RunnableWarp> = ctl_queue
-            .iter()
-            .map(|&(ready, slot)| {
-                let (block, warp_in_block) = ident(slot);
-                RunnableWarp { block, warp_in_block, ready }
-            })
-            .collect();
-        let idx = policy.pick(*ctl_now, &runnable);
+        runnable.clear();
+        runnable.extend(ctl_queue.iter().map(|&(ready, slot)| {
+            let (block, warp_in_block) = ident(slot);
+            RunnableWarp { block, warp_in_block, ready }
+        }));
+        let idx = policy.pick(*ctl_now, runnable);
         assert!(idx < runnable.len(), "SchedulePolicy::pick returned {idx} of {}", runnable.len());
         let (ready, slot) = ctl_queue.remove(idx);
         *ctl_now = (*ctl_now).max(ready);
@@ -1413,8 +1414,8 @@ mod tests {
             self.index.min(runnable.len() - 1)
         }
 
-        fn observe(&mut self, step: &StepRecord) {
-            self.steps.borrow_mut().push(step.clone());
+        fn observe(&mut self, step: StepRecord) {
+            self.steps.borrow_mut().push(step);
         }
     }
 

@@ -130,8 +130,9 @@ pub trait SchedulePolicy {
     fn pick(&mut self, now: u64, runnable: &[RunnableWarp]) -> usize;
 
     /// Observes the instruction the picked warp just executed (including
-    /// its [`StepEffect::Retire`] when the warp finishes).
-    fn observe(&mut self, _step: &StepRecord) {}
+    /// its [`StepEffect::Retire`] when the warp finishes). The record is
+    /// handed over by value, so a policy can keep its effect uncloned.
+    fn observe(&mut self, _step: StepRecord) {}
 }
 
 /// A cloneable, shareable handle to a [`SchedulePolicy`], installable in
@@ -158,7 +159,7 @@ impl PolicyHandle {
         self.0.borrow_mut().pick(now, runnable)
     }
 
-    pub(crate) fn observe(&self, step: &StepRecord) {
+    pub(crate) fn observe(&self, step: StepRecord) {
         self.0.borrow_mut().observe(step);
     }
 }

@@ -181,13 +181,12 @@ impl WarpCtx {
 
     fn mem_access(&self, kind: MemKind, mask: LaneMask, co: &Coalesced, depth: u32) -> u64 {
         let st = &mut *self.st.borrow_mut();
-        let outcomes: Vec<_> = co.segments.iter().map(|s| st.cache.access(*s)).collect();
         st.stats.mem_transactions += co.transactions() as u64;
         st.stats.uncoalesced_transactions += mask.count() as u64;
         let mut hits = 0u32;
         let mut misses = 0u32;
-        for o in &outcomes {
-            match o {
+        for &s in co.segments() {
+            match st.cache.access(s) {
                 crate::cache::CacheOutcome::Hit => hits += 1,
                 crate::cache::CacheOutcome::Miss => misses += 1,
             }
@@ -221,7 +220,7 @@ impl WarpCtx {
         );
         match kind {
             MemKind::Atomic => st.timing.atomic_cost(co.transactions(), depth),
-            _ => st.timing.memory_cost(&outcomes),
+            _ => st.timing.memory_cost(co.transactions(), misses > 0),
         }
     }
 

@@ -285,9 +285,9 @@ impl SchedulePolicy for Controller {
         idx
     }
 
-    fn observe(&mut self, step: &StepRecord) {
+    fn observe(&mut self, step: StepRecord) {
         let warp = (step.block, step.warp_in_block);
-        match &step.effect {
+        match step.effect {
             StepEffect::Retire => {
                 if self.current == Some(warp) {
                     self.current = None;
@@ -297,14 +297,14 @@ impl SchedulePolicy for Controller {
             StepEffect::Local => {}
             eff => {
                 if let Some(f) = &self.filter {
-                    if f.invisible(warp, eff) {
+                    if f.invisible(warp, &eff) {
                         self.invisible_pruned += 1;
                         return;
                     }
                 }
                 // `pick` already advanced the counter for this step.
                 let decision = self.decision.saturating_sub(1);
-                self.trace.push(Event { warp, effect: eff.clone(), decision });
+                self.trace.push(Event { warp, effect: eff, decision });
             }
         }
     }
@@ -381,13 +381,13 @@ mod tests {
         let mut c = Controller::new(Schedule::default(), None);
         let r = runnable(&[(0, 0), (0, 1)]);
         c.pick(0, &r);
-        c.observe(&StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Local });
-        c.observe(&StepRecord {
+        c.observe(StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Local });
+        c.observe(StepRecord {
             block: 0,
             warp_in_block: 0,
             effect: StepEffect::Store(vec![Addr(7)]),
         });
-        c.observe(&StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Retire });
+        c.observe(StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Retire });
         assert_eq!(c.trace.len(), 1);
         assert_eq!(c.trace[0].decision, 0);
         // After retire the default continuation starts the next warp.

@@ -137,7 +137,9 @@ pub struct ExploreStats {
     pub traces_deduped: u64,
     /// Distinct traces that still reached an already-seen terminal state.
     pub states_deduped: u64,
-    /// Backtrack schedules queued for execution.
+    /// Backtrack schedules queued for execution. This also counts
+    /// schedules queued below the bound being explored, into a bucket
+    /// that has already drained; those never run.
     pub backtracks_queued: u64,
     /// Backtracks dropped for exceeding the preemption bound.
     pub backtracks_deferred: u64,
@@ -251,28 +253,18 @@ fn trace_hash(trace: &[Event]) -> u64 {
     h.finish()
 }
 
+fn absorb_choice(h: &mut Fnv, c: &ForcedChoice) {
+    h.u64(c.decision);
+    h.u32(c.warp.0);
+    h.u32(c.warp.1);
+}
+
 fn schedule_hash(choices: &[ForcedChoice]) -> u64 {
     let mut h = Fnv::new();
     for c in choices {
-        h.u64(c.decision);
-        h.u32(c.warp.0);
-        h.u32(c.warp.1);
+        absorb_choice(&mut h, c);
     }
     h.finish()
-}
-
-/// A vector clock counting, per warp index, how many of that warp's
-/// visible events happen-before the point it describes.
-type Clock = Vec<u64>;
-
-fn clock_le(a: &Clock, b: &Clock) -> bool {
-    a.iter().zip(b).all(|(x, y)| x <= y)
-}
-
-fn clock_join(into: &mut Clock, from: &Clock) {
-    for (x, y) in into.iter_mut().zip(from) {
-        *x = (*x).max(*y);
-    }
 }
 
 /// Explores the model's schedule space and reports findings + statistics.
@@ -359,6 +351,115 @@ pub fn explore(
     ExploreReport { stats, findings, unsupported }
 }
 
+/// Every racing pair `(i, j)`, `i < j`, of the trace: events of different
+/// warps that conflict and are not already ordered by happens-before
+/// (program order plus earlier conflict edges). Pairs come grouped by
+/// ascending `j` and, within one `j`, by descending `i`.
+///
+/// One pass in trace order. Of one warp's earlier events, only the newest
+/// that conflicts with `j` can race it: every older one is ordered before
+/// it by program order, so it is covered as soon as the newest is joined
+/// or found covered. Joining a clock that already covers an event changes
+/// nothing, so clocks are joined on races only. That newest conflicting
+/// event is found from a few
+/// per-warp and per-address "last event" slots, and coverage is one clock
+/// entry compare: a clock covers event `i` exactly when its entry for
+/// `i`'s warp reaches `i`'s position within that warp.
+///
+/// The trace holds memory events only (`Load`, `Store`, `Atomic`,
+/// `Fence`), as the [`Controller`] records it.
+fn races(trace: &[Event]) -> Vec<(usize, usize)> {
+    use gpu_sim::StepEffect::{Fence, Load};
+
+    // Dense warp indices, in order of first appearance.
+    let mut warps: Vec<WarpKey> = Vec::new();
+    let wix: Vec<usize> = trace
+        .iter()
+        .map(|e| {
+            warps.iter().position(|&k| k == e.warp).unwrap_or_else(|| {
+                warps.push(e.warp);
+                warps.len() - 1
+            })
+        })
+        .collect();
+    let nw = warps.len();
+
+    // All "last event" slots hold an event index + 1, with 0 for none.
+    // `clocks[j * nw..][..nw]`: event j's HB clock including j itself.
+    let mut clocks: Vec<u64> = vec![0; trace.len() * nw];
+    // Per warp: its last event and its last fence.
+    let mut last = vec![0usize; nw];
+    let mut last_fence = vec![0usize; nw];
+    // Per address slot × warp: its last write and its last access.
+    let mut addr_slot: HashMap<gpu_sim::Addr, usize> = HashMap::new();
+    let mut last_write: Vec<usize> = Vec::new();
+    let mut last_access: Vec<usize> = Vec::new();
+
+    let mut slots: Vec<usize> = Vec::new();
+    let mut cands: Vec<usize> = Vec::with_capacity(nw);
+    let mut acc: Vec<u64> = vec![0; nw];
+    let mut out: Vec<(usize, usize)> = Vec::new();
+
+    for (j, e) in trace.iter().enumerate() {
+        let wj = wix[j];
+        slots.clear();
+        for a in e.effect.addrs() {
+            let next = addr_slot.len();
+            let s = *addr_slot.entry(*a).or_insert(next);
+            if s == next {
+                last_write.resize(last_write.len() + nw, 0);
+                last_access.resize(last_access.len() + nw, 0);
+            }
+            slots.push(s);
+        }
+        let newest_or_fence = |table: &[usize], w: usize| {
+            slots.iter().map(|s| table[s * nw + w]).max().unwrap_or(0).max(last_fence[w])
+        };
+
+        // Each other warp's newest event conflicting with j, newest first.
+        cands.clear();
+        for w in (0..nw).filter(|&w| w != wj) {
+            let c = match e.effect {
+                Fence => last[w],
+                Load(_) => newest_or_fence(&last_write, w),
+                _ => newest_or_fence(&last_access, w),
+            };
+            if c != 0 {
+                cands.push(c - 1);
+            }
+        }
+        cands.sort_unstable_by(|a, b| b.cmp(a));
+
+        match last[wj] {
+            0 => acc.fill(0),
+            p => acc.copy_from_slice(&clocks[(p - 1) * nw..p * nw]),
+        }
+        for &i in &cands {
+            let post = &clocks[i * nw..(i + 1) * nw];
+            if acc[wix[i]] < post[wix[i]] {
+                out.push((i, j));
+                for (x, y) in acc.iter_mut().zip(post) {
+                    *x = (*x).max(*y);
+                }
+            }
+        }
+        acc[wj] += 1;
+        clocks[j * nw..(j + 1) * nw].copy_from_slice(&acc);
+
+        last[wj] = j + 1;
+        if matches!(e.effect, Fence) {
+            last_fence[wj] = j + 1;
+        }
+        for s in &slots {
+            last_access[s * nw + wj] = j + 1;
+            if e.effect.writes() {
+                last_write[s * nw + wj] = j + 1;
+            }
+        }
+    }
+    out
+}
+
 /// Happens-before analysis of one executed trace; every racing pair
 /// spawns a backtrack schedule flipping it.
 fn generate_backtracks(
@@ -372,71 +473,50 @@ fn generate_backtracks(
     if trace.is_empty() {
         return;
     }
+    let races = races(trace);
 
-    // Warp index assignment for vector clocks.
-    let mut warp_ix: HashMap<WarpKey, usize> = HashMap::new();
-    for e in trace {
-        let n = warp_ix.len();
-        warp_ix.entry(e.warp).or_insert(n);
-    }
-    let nwarps = warp_ix.len();
-
-    // `warp_clock[w]`: the HB clock inherited by w's next event (program
-    // order). `post[j]`: event j's HB clock including j itself.
-    let mut warp_clock: Vec<Clock> = vec![vec![0; nwarps]; nwarps];
-    let mut post: Vec<Clock> = Vec::with_capacity(trace.len());
-    let mut races: Vec<(usize, usize)> = Vec::new();
-
-    for j in 0..trace.len() {
-        let wj = warp_ix[&trace[j].warp];
-        // Scan earlier conflicting events newest-first, accumulating
-        // their clocks: an event already covered by the accumulated
-        // clock is HB-ordered (possibly through an intermediary) and is
-        // not a race.
-        let mut acc = warp_clock[wj].clone();
-        for i in (0..j).rev() {
-            if trace[i].warp == trace[j].warp || !trace[i].effect.conflicts(&trace[j].effect) {
-                continue;
-            }
-            if !clock_le(&post[i], &acc) {
-                races.push((i, j));
-            }
-            clock_join(&mut acc, &post[i]);
-        }
-        acc[wj] += 1;
-        warp_clock[wj] = acc.clone();
-        post.push(acc);
+    // `ctl.effective` is recorded in decision order, so the choices before
+    // decision d are a leading slice of it. `prefix_hash[k]` is the hasher
+    // state after its first k choices.
+    let effective = &ctl.effective;
+    let mut prefix_hash = Vec::with_capacity(effective.len() + 1);
+    let mut h = Fnv::new();
+    prefix_hash.push(h);
+    for c in effective {
+        absorb_choice(&mut h, c);
+        prefix_hash.push(h);
     }
 
     for (i, j) in races {
         let d = trace[i].decision;
         let rec = &ctl.decisions[d as usize];
         let wj = trace[j].warp;
-        // Schedule the second event's warp at the first event's decision
-        // point; if it was somehow not runnable there, fall back to every
-        // alternative (classic DPOR's pessimistic backtrack set).
-        let candidates: Vec<WarpKey> = if rec.runnable.contains(&wj) {
-            vec![wj]
-        } else {
-            rec.runnable.iter().copied().filter(|&k| k != rec.chosen).collect()
-        };
-        let prefix: Vec<ForcedChoice> =
-            ctl.effective.iter().copied().filter(|c| c.decision < d).collect();
+        let k = effective.partition_point(|c| c.decision < d);
         let done_key = {
             let mut h = Fnv::new();
-            h.u64(schedule_hash(&prefix));
+            h.u64(prefix_hash[k].finish());
             h.u64(d);
             h.finish()
         };
         let done = done_sets.entry(done_key).or_insert_with(|| HashSet::from([rec.chosen]));
+        // Schedule the second event's warp at the first event's decision
+        // point; if it was somehow not runnable there, fall back to every
+        // alternative (classic DPOR's pessimistic backtrack set).
+        let only_wj = rec.runnable.contains(&wj);
+        let candidates =
+            rec.runnable
+                .iter()
+                .copied()
+                .filter(|&w| if only_wj { w == wj } else { w != rec.chosen });
         for w in candidates {
             if !done.insert(w) {
                 stats.sleep_pruned += 1;
                 continue;
             }
-            let mut choices = prefix.clone();
-            choices.push(ForcedChoice { decision: d, warp: w });
-            if !seen_schedules.insert(schedule_hash(&choices)) {
+            let choice = ForcedChoice { decision: d, warp: w };
+            let mut h = prefix_hash[k];
+            absorb_choice(&mut h, &choice);
+            if !seen_schedules.insert(h.finish()) {
                 stats.schedules_deduped += 1;
                 continue;
             }
@@ -451,6 +531,9 @@ fn generate_backtracks(
             };
             let preemptions = rec.preemptions_before + extra;
             if (preemptions as usize) < pending.len() {
+                let mut choices = Vec::with_capacity(k + 1);
+                choices.extend_from_slice(&effective[..k]);
+                choices.push(choice);
                 pending[preemptions as usize].push_back(Schedule { choices });
                 stats.backtracks_queued += 1;
             } else {
@@ -492,14 +575,101 @@ mod tests {
         assert_ne!(trace_hash(&t1), trace_hash(&t2));
     }
 
+    /// The reference race pass: for every event, scan all earlier events
+    /// newest first, accumulating the clocks of conflicting ones; an
+    /// event not already covered by the accumulator races.
+    fn quadratic_races(trace: &[Event]) -> Vec<(usize, usize)> {
+        type Clock = Vec<u64>;
+        let mut warp_ix: HashMap<WarpKey, usize> = HashMap::new();
+        for e in trace {
+            let n = warp_ix.len();
+            warp_ix.entry(e.warp).or_insert(n);
+        }
+        let nwarps = warp_ix.len();
+        let mut warp_clock: Vec<Clock> = vec![vec![0; nwarps]; nwarps];
+        let mut post: Vec<Clock> = Vec::with_capacity(trace.len());
+        let mut races = Vec::new();
+        for j in 0..trace.len() {
+            let wj = warp_ix[&trace[j].warp];
+            let mut acc = warp_clock[wj].clone();
+            for i in (0..j).rev() {
+                if trace[i].warp == trace[j].warp || !trace[i].effect.conflicts(&trace[j].effect) {
+                    continue;
+                }
+                if !post[i].iter().zip(&acc).all(|(x, y)| x <= y) {
+                    races.push((i, j));
+                }
+                for (x, y) in acc.iter_mut().zip(&post[i]) {
+                    *x = (*x).max(*y);
+                }
+            }
+            acc[wj] += 1;
+            warp_clock[wj] = acc.clone();
+            post.push(acc);
+        }
+        races
+    }
+
+    /// SplitMix64 step, for seeded random traces.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn random_trace(seed: u64) -> Vec<Event> {
+        let mut st = seed;
+        let nwarps = 2 + next(&mut st) % 5;
+        let len = next(&mut st) % 401;
+        (0..len)
+            .map(|d| {
+                let w = (next(&mut st) % nwarps) as u32;
+                let mut addrs: Vec<gpu_sim::Addr> = (0..next(&mut st) % 4)
+                    .map(|_| gpu_sim::Addr((next(&mut st) % 8) as u32))
+                    .collect();
+                addrs.sort_unstable();
+                addrs.dedup();
+                let effect = match next(&mut st) % 4 {
+                    0 => StepEffect::Load(addrs),
+                    1 => StepEffect::Store(addrs),
+                    2 => StepEffect::Atomic(addrs),
+                    _ => StepEffect::Fence,
+                };
+                Event { warp: (w / 2, w % 2), effect, decision: d }
+            })
+            .collect()
+    }
+
     #[test]
-    fn clock_ops() {
-        let a = vec![1, 2, 0];
-        let b = vec![1, 3, 0];
-        assert!(clock_le(&a, &b));
-        assert!(!clock_le(&b, &a));
-        let mut c = a.clone();
-        clock_join(&mut c, &b);
-        assert_eq!(c, vec![1, 3, 0]);
+    fn linear_race_pass_matches_the_quadratic_reference() {
+        let mut total = 0;
+        for seed in 0..2000 {
+            let trace = random_trace(seed);
+            let want = quadratic_races(&trace);
+            assert_eq!(races(&trace), want, "seed {seed}");
+            total += want.len();
+        }
+        assert!(total > 10_000, "random traces raced too rarely: {total}");
+    }
+
+    #[test]
+    fn transitively_ordered_pairs_do_not_race() {
+        use gpu_sim::Addr;
+        let ev = |w: u32, effect: StepEffect| Event { warp: (0, w), effect, decision: 0 };
+        // w0 writes x, w1 reads x then writes y, w2 reads y then reads x:
+        // w2's read of x is ordered after w0's write through w1, and
+        // w0's closing fence, racing w2's last read, covers w1 through it.
+        let trace = [
+            ev(0, StepEffect::Store(vec![Addr(1)])),
+            ev(1, StepEffect::Load(vec![Addr(1)])),
+            ev(1, StepEffect::Store(vec![Addr(2)])),
+            ev(2, StepEffect::Load(vec![Addr(2)])),
+            ev(2, StepEffect::Load(vec![Addr(1)])),
+            ev(0, StepEffect::Fence),
+        ];
+        assert_eq!(races(&trace), vec![(0, 1), (2, 3), (4, 5)]);
+        assert_eq!(races(&trace), quadratic_races(&trace));
     }
 }

@@ -5,8 +5,8 @@
 
 use gpu_stm::{BlockingMutation, Mutation};
 use tm_verify::{
-    minimize_finding, parse, replay, run_once, verify, Litmus, VerifyConfig, ViolationKind,
-    Workload,
+    minimize_finding, parse, replay, run_once, verify, ExploreStats, Litmus, VerifyConfig,
+    ViolationKind, Workload,
 };
 use workloads::Variant;
 
@@ -69,6 +69,57 @@ fn stripes_is_clean_and_footprint_pruned_for_every_variant() {
             r.stats.footprint_invisible_events > 0,
             "stripes/{v}: footprint filter never engaged"
         );
+    }
+}
+
+type Counters = (u64, u64, u64, u64, u64, u64, u64, u64, u64, usize, bool);
+
+/// Every `ExploreStats` field, in declaration order.
+fn counters(s: &ExploreStats) -> Counters {
+    (
+        s.schedules_run,
+        s.traces_deduped,
+        s.states_deduped,
+        s.backtracks_queued,
+        s.backtracks_deferred,
+        s.sleep_pruned,
+        s.schedules_deduped,
+        s.footprint_invisible_events,
+        s.diverged,
+        s.max_trace_len,
+        s.cap_hit,
+    )
+}
+
+#[test]
+fn uncapped_exploration_counters_are_pinned() {
+    // 2 blocks x 2 warps at bound 2 with no schedule cap. Every counter
+    // depends on the exploration order (race list, backtrack order,
+    // done-sets), so any change to the explorer that is meant to be a
+    // pure speed-up must reproduce these exactly.
+    let cases: [(Workload, Variant, Counters); 3] = [
+        (
+            Workload::Hashtable,
+            Variant::HvSorting,
+            (2747, 124, 2622, 2824, 7777, 9651, 0, 0, 0, 44, false),
+        ),
+        (Workload::Bank, Variant::Vbv, (3867, 102, 3764, 3932, 10515, 11438, 0, 0, 0, 512, false)),
+        (
+            Workload::Stripes,
+            Variant::Cgl,
+            (2590, 102, 2487, 2613, 8236, 6439, 0, 62160, 0, 66, false),
+        ),
+    ];
+    for (w, v, want) in cases {
+        let cfg = VerifyConfig {
+            litmus: Litmus::new(w, v, 2, 2),
+            max_preemptions: 2,
+            max_schedules: 0,
+            stop_on_finding: false,
+        };
+        let r = verify(&cfg);
+        assert!(r.unsupported.is_none() && r.is_clean(), "{w}/{v}: not clean");
+        assert_eq!(counters(&r.stats), want, "{w}/{v}");
     }
 }
 

@@ -22,13 +22,13 @@
 #![forbid(unsafe_code)]
 
 use gpu_sim::{JsonWriter, LaunchConfig, Sim, SimConfig};
-use gpu_stm::{Stm, StmConfig};
+use gpu_stm::{AnyStm, BuildError, StmConfig};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::rc::Rc;
 use txl::{analyze_source, ArrayBinding, CostConfig, StaticProfile};
-use workloads::{dispatch, RunError, StmRunner, Variant};
+use workloads::Variant;
 
 /// Modeled and executed concurrency: 8 SIMT blocks × 32 lanes.
 const THREADS: u32 = 256;
@@ -131,25 +131,6 @@ fn render_golden() -> Result<String, String> {
     Ok(out)
 }
 
-/// Runs the workload's first kernel under an already-instantiated STM.
-struct LaunchRunner<'a> {
-    kernel: &'a txl::Kernel,
-    bindings: &'a [ArrayBinding],
-    grid: LaunchConfig,
-}
-
-impl StmRunner for LaunchRunner<'_> {
-    type Out = u64;
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<u64, RunError> {
-        match txl::launch(sim, &stm, self.kernel, self.grid, SEED, self.bindings) {
-            Ok(report) => Ok(report.cycles),
-            Err(txl::TxlError::Sim(e)) => Err(RunError::Sim(e)),
-            Err(other) => Err(RunError::Verification(other.to_string())),
-        }
-    }
-}
-
 /// Measures one (workload, variant) cell: fresh simulator, arrays sized
 /// from declarations, stripe count from the static recommendation (the
 /// same lock-table the seeded service would run). `Ok(None)` = variant
@@ -169,20 +150,16 @@ fn measure(w: &Workload, profile: &StaticProfile, variant: Variant) -> Result<Op
     }
 
     let grid = LaunchConfig::new(8, 32);
-    let runner = LaunchRunner { kernel, bindings: &bindings, grid };
-    match dispatch(
-        &mut sim,
-        variant,
-        StmConfig::new(profile.stripes),
-        data_words,
-        grid,
-        None,
-        None,
-        runner,
-    ) {
-        Ok(cycles) => Ok(Some(cycles)),
-        Err(RunError::Unsupported(_)) => Ok(None),
-        Err(e) => Err(format!("{} / {}: {e}", w.name, variant.short_name())),
+    let fail = |e: &dyn std::fmt::Display| format!("{} / {}: {e}", w.name, variant.short_name());
+    let stm =
+        match AnyStm::new(&mut sim, variant, StmConfig::new(profile.stripes), data_words, grid) {
+            Ok(stm) => Rc::new(stm),
+            Err(BuildError::Unsupported(_)) => return Ok(None),
+            Err(e) => return Err(fail(&e)),
+        };
+    match txl::launch(&mut sim, &stm, kernel, grid, SEED, &bindings) {
+        Ok(report) => Ok(Some(report.cycles)),
+        Err(e) => Err(fail(&e)),
     }
 }
 

@@ -32,7 +32,7 @@
 #![forbid(unsafe_code)]
 
 use bench::{artifact_output_path, bench_output_path, print_table};
-use gpu_sim::JsonWriter;
+use gpu_sim::{Fnv, JsonWriter};
 use tm_serve::{
     CrashPlan, CrashPoint, DurabilityConfig, EngineMode, MemStore, MixConfig, ObsConfig,
     RecoveryReport, ReplicaFault, ServeConfig, ServeReport, Service,
@@ -150,17 +150,6 @@ fn fault_config(args: &Args, dur: DurabilityConfig) -> ServeConfig {
     }
 }
 
-/// FNV-64 of a text exposition — lets the artifact pin the whole
-/// Prometheus scrape without inlining kilobytes of text.
-fn fnv_text(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 struct Scenario {
     name: &'static str,
     report: ServeReport,
@@ -194,10 +183,10 @@ fn write_scenario(w: &mut JsonWriter, sc: &Scenario) {
         }
     }
     w.end_array();
-    w.field_str(
-        "prometheus_fnv",
-        &format!("{:016x}", fnv_text(&sc.report.obs.snapshot.to_prometheus())),
-    );
+    // Pins the whole Prometheus scrape without inlining kilobytes of text.
+    let mut prometheus = Fnv::new();
+    prometheus.bytes(sc.report.obs.snapshot.to_prometheus().as_bytes());
+    w.field_str("prometheus_fnv", &format!("{:016x}", prometheus.finish()));
     w.end_object();
 }
 

@@ -33,10 +33,10 @@
 #![forbid(unsafe_code)]
 
 use bench::{bench_output_path, print_table, thousands};
-use gpu_sim::JsonWriter;
+use gpu_sim::{mix64, JsonWriter};
 use gpu_stm::Phase;
 use workloads::queue::{run_deque, run_queue, DequeParams, QueueParams};
-use workloads::{mix64, RunConfig, RunOutcome, Variant};
+use workloads::{RunConfig, RunOutcome, Variant};
 
 struct Args {
     name: String,

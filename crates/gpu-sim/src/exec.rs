@@ -17,7 +17,8 @@
 
 use crate::cache::{CacheCheckpoint, CacheConfig, L2Cache};
 use crate::error::{SimError, WarpProgress};
-use crate::fault::{splitmix64, FaultPlan, FaultState};
+use crate::fault::{FaultPlan, FaultState};
+use crate::hash::splitmix64;
 use crate::mask::{LaneMask, WARP_SIZE};
 use crate::memory::{Addr, GlobalMemory};
 use crate::race::{RaceDetector, RaceSink};

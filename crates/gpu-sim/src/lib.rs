@@ -44,6 +44,7 @@ pub mod coalesce;
 mod error;
 mod exec;
 pub mod fault;
+pub mod hash;
 pub mod json;
 pub mod mask;
 pub mod memory;
@@ -60,6 +61,7 @@ pub use cache::{CacheCheckpoint, CacheConfig, L2Cache};
 pub use error::{SimError, WarpProgress};
 pub use exec::{GpuConfig, LaunchConfig, RunReport, Sim, SimCheckpoint, SimConfig, WarpId};
 pub use fault::FaultPlan;
+pub use hash::{mix64, splitmix64, Fnv};
 pub use json::JsonWriter;
 pub use mask::{LaneMask, WARP_SIZE};
 pub use memory::{Addr, AtomicOp, GlobalMemory};

@@ -6,6 +6,7 @@
 //! `(seed, thread_id)`, so every run of a given seed is bit-identical —
 //! a property the evaluation harness relies on.
 
+use crate::hash::mix64;
 use crate::mask::WARP_SIZE;
 
 /// One independent xorshift32 stream per lane of a warp.
@@ -14,19 +15,12 @@ pub struct WarpRng {
     states: [u32; WARP_SIZE],
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl WarpRng {
     /// Creates per-lane streams for a warp whose lane `l` has global thread
     /// id `base_tid + l`.
     pub fn new(seed: u64, base_tid: u32) -> Self {
         let states = std::array::from_fn(|l| {
-            let mixed = splitmix64(seed ^ splitmix64(base_tid as u64 + l as u64));
+            let mixed = mix64(seed ^ mix64(base_tid as u64 + l as u64));
             // xorshift32 state must be nonzero.
             (mixed as u32) | 1
         });

@@ -94,6 +94,8 @@ pub use stats::{
 pub use trace::{
     chrome_trace, tx_trace_sink, TxEvent, TxEventKind, TxTrace, TxTraceBuffer, TxTraceSink,
 };
-pub use variants::{CglStm, EgpgvStm, LockStm, Mutation, NorecStm, OptimizedStm};
+pub use variants::{
+    AnyStm, BuildError, CglStm, EgpgvStm, LockStm, Mutation, NorecStm, OptimizedStm, Variant,
+};
 pub use version_lock::VersionLock;
 pub use warptx::WarpTx;

@@ -9,13 +9,17 @@
 //! | STM-Optimized | [`OptimizedStm`] | adaptive HV/TBV selection |
 //! | STM-EGPGV | [`EgpgvStm`] | per-thread-block blocking STM (prior art) |
 //! | CGL | [`CglStm`] | coarse-grained lock baseline |
+//!
+//! [`AnyStm::new`] builds any [`Variant`] as one value type.
 
+mod any;
 mod cgl;
 mod egpgv;
 mod lockstm;
 mod norec;
 mod optimized;
 
+pub use any::{AnyStm, BuildError, Variant};
 pub use cgl::CglStm;
 pub use egpgv::EgpgvStm;
 pub use lockstm::{LockStm, Mutation};

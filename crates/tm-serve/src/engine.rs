@@ -20,15 +20,15 @@ use crate::route::route;
 use crate::stm::{build_stm, EngineMode, EngineStm};
 use crate::wal::{dec_seal, enc_seal, BatchSeal, Dec, Enc, StoreHandle, WalRecord, WalWriter};
 use gpu_sim::{
-    Addr, CacheCheckpoint, LaunchConfig, Sim, SimCheckpoint, SimConfig, SimStats, WARP_SIZE,
+    mix64, Addr, CacheCheckpoint, Fnv, LaunchConfig, Sim, SimCheckpoint, SimConfig, SimStats,
+    WARP_SIZE,
 };
 use gpu_stm::{
     lane_addrs, recorder_with_hook, Access, CommittedTx, Recorder, SchedulerCheckpoint, Stm,
-    StmConfig, TxStats,
+    StmConfig, TxStats, Variant,
 };
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use workloads::{mix64, Variant};
 
 /// The TXL program served for `TxlBump` requests: a compiled
 /// `atomic{}` read-modify-write on one counter cell. Public so
@@ -259,27 +259,6 @@ pub struct ShardSummary {
     pub balance_sum: u64,
     /// Sum of the shard's TXL counters (equals its completed bumps).
     pub txl_sum: u64,
-}
-
-/// Incremental FNV-1a over little-endian words.
-#[derive(Copy, Clone)]
-pub(crate) struct Fnv(pub u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.u64(v as u64);
-    }
 }
 
 /// Per-lane op encoding for the batch kernel.
@@ -625,10 +604,10 @@ impl ShardEngine {
             let log = hook_log.get();
             let mut h = Fnv(log.fnv);
             h.u64(req);
-            h.u32(tx.tid);
-            h.u32(version);
-            h.u32(tx.reads.len() as u32);
-            h.u32(tx.writes.len() as u32);
+            h.u64(u64::from(tx.tid));
+            h.u64(u64::from(version));
+            h.u64(tx.reads.len() as u64);
+            h.u64(tx.writes.len() as u64);
             hook_log.set(LogHash { fnv: h.0, count: log.count + 1 });
             if hook_enabled.get() {
                 hook_pending.borrow_mut().push(WalRecord::Commit {
@@ -942,7 +921,7 @@ impl ShardEngine {
         let words = self.sim.read_slice(Addr(self.span_base), len);
         let mut h = Fnv::new();
         for w in words {
-            h.u32(w);
+            h.u64(u64::from(w));
         }
         h.0
     }
@@ -1423,18 +1402,18 @@ impl ShardEngine {
         let mut hist_fnv = Fnv::new();
         hist_fnv.u64(history.aborts);
         for tx in &history.commits {
-            hist_fnv.u32(tx.tid);
-            hist_fnv.u32(tx.version.map_or(0, |v| v + 1));
-            hist_fnv.u32(tx.snapshot);
-            hist_fnv.u32(tx.reads.len() as u32);
+            hist_fnv.u64(u64::from(tx.tid));
+            hist_fnv.u64(u64::from(tx.version.map_or(0, |v| v + 1)));
+            hist_fnv.u64(u64::from(tx.snapshot));
+            hist_fnv.u64(tx.reads.len() as u64);
             for a in &tx.reads {
-                hist_fnv.u32(a.addr.index() as u32);
-                hist_fnv.u32(a.val);
+                hist_fnv.u64(u64::from(a.addr.0));
+                hist_fnv.u64(u64::from(a.val));
             }
-            hist_fnv.u32(tx.writes.len() as u32);
+            hist_fnv.u64(tx.writes.len() as u64);
             for a in &tx.writes {
-                hist_fnv.u32(a.addr.index() as u32);
-                hist_fnv.u32(a.val);
+                hist_fnv.u64(u64::from(a.addr.0));
+                hist_fnv.u64(u64::from(a.val));
             }
         }
 

@@ -49,7 +49,7 @@
 //!
 //! ```
 //! use tm_serve::{MixConfig, ServeConfig, Service};
-//! use workloads::Variant;
+//! use gpu_stm::Variant;
 //!
 //! let cfg = ServeConfig {
 //!     shards: 2,

@@ -40,9 +40,10 @@ use std::path::{Path, PathBuf};
 
 use gpu_sim::json::JsonWriter;
 use gpu_sim::trace::SimEvent;
+use gpu_sim::Fnv;
 use gpu_stm::trace::{chrome_trace, TxEvent};
 
-use crate::engine::{BatchReport, Fnv};
+use crate::engine::BatchReport;
 
 /// Tuning knobs for the observability subsystem.
 ///

@@ -8,7 +8,7 @@
 //! interarrival distribution, independent of service completion.
 
 use crate::route::route;
-use workloads::mix64;
+use gpu_sim::mix64;
 
 /// One client operation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -6,7 +6,7 @@
 //! of worker-thread count — the foundation of the service's determinism
 //! guarantee.
 
-use workloads::mix64;
+use gpu_sim::mix64;
 
 /// Shard owning `key` under `seed`, for a service of `shards` shards.
 pub fn route(key: u32, shards: usize, seed: u64) -> usize {

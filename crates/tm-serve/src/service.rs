@@ -29,9 +29,9 @@ use crate::report::{ClassTotals, RecoveryReport, ServeReport, ShardReport};
 use crate::request::{self, MixConfig, Op, Request};
 use crate::stm::EngineMode;
 use crate::wal::{append_decision, store_fingerprint, BatchSeal, MemStore, StoreHandle, WalRecord};
+use gpu_stm::Variant;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
-use workloads::Variant;
 
 /// One batch's committed stream plus its seal, shipped to the
 /// coordinator for replica ingestion.

@@ -42,7 +42,8 @@
 //! prefix, verifying every frame, and truncates any longer tail: a
 //! delta appended by a snapshot that never landed.
 
-use crate::engine::{Entry, EntryOutcome, Fnv, ShardOp};
+use crate::engine::{Entry, EntryOutcome, ShardOp};
+use gpu_sim::Fnv;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;

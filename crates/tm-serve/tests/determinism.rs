@@ -6,8 +6,8 @@
 //! barrier results in shard order, and the report serializes only
 //! virtual quantities.
 
+use gpu_stm::Variant;
 use tm_serve::{EngineMode, MixConfig, ObsConfig, ServeConfig, Service};
-use workloads::Variant;
 
 fn cfg(workers: usize) -> ServeConfig {
     ServeConfig {

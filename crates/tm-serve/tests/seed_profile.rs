@@ -3,9 +3,9 @@
 //! analysis of the TXL program the engine serves, before any traffic
 //! arrives — the acting half of the obs layer's sense/act split.
 
+use gpu_stm::Variant;
 use tm_serve::{MixConfig, ServeConfig, Service, TXL_BUMP};
 use txl::{analyze_source, CostConfig};
-use workloads::Variant;
 
 fn base() -> ServeConfig {
     ServeConfig {

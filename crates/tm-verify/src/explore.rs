@@ -14,7 +14,7 @@
 //! so the cheapest witnesses surface first.
 
 use crate::controller::{Controller, Event, FootprintFilter, ForcedChoice, Schedule, WarpKey};
-use gpu_sim::PolicyHandle;
+use gpu_sim::{Fnv, PolicyHandle};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
@@ -173,58 +173,6 @@ impl ExploreReport {
     /// Whether the explored space is violation-free.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-}
-
-/// FNV-1a, used for all exploration-internal hashing (deterministic
-/// across runs and platforms, unlike `DefaultHasher` in spirit — and with
-/// no dependency on hasher seeding).
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv::default()
-    }
-
-    /// Absorbs one byte.
-    pub fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    /// Absorbs a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// Absorbs a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// Absorbs a string (length-prefixed).
-    pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// The digest.
-    pub fn finish(self) -> u64 {
-        self.0
     }
 }
 
@@ -546,22 +494,7 @@ fn generate_backtracks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::StepEffect;
-
-    #[test]
-    fn fnv_is_deterministic_and_order_sensitive() {
-        let mut a = Fnv::new();
-        a.u32(1);
-        a.u32(2);
-        let mut b = Fnv::new();
-        b.u32(2);
-        b.u32(1);
-        assert_ne!(a.finish(), b.finish());
-        let mut c = Fnv::new();
-        c.u32(1);
-        c.u32(2);
-        assert_eq!(a.finish(), c.finish());
-    }
+    use gpu_sim::{splitmix64, StepEffect};
 
     #[test]
     fn trace_hash_distinguishes_orders() {
@@ -610,28 +543,19 @@ mod tests {
         races
     }
 
-    /// SplitMix64 step, for seeded random traces.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     fn random_trace(seed: u64) -> Vec<Event> {
         let mut st = seed;
-        let nwarps = 2 + next(&mut st) % 5;
-        let len = next(&mut st) % 401;
+        let nwarps = 2 + splitmix64(&mut st) % 5;
+        let len = splitmix64(&mut st) % 401;
         (0..len)
             .map(|d| {
-                let w = (next(&mut st) % nwarps) as u32;
-                let mut addrs: Vec<gpu_sim::Addr> = (0..next(&mut st) % 4)
-                    .map(|_| gpu_sim::Addr((next(&mut st) % 8) as u32))
+                let w = (splitmix64(&mut st) % nwarps) as u32;
+                let mut addrs: Vec<gpu_sim::Addr> = (0..splitmix64(&mut st) % 4)
+                    .map(|_| gpu_sim::Addr((splitmix64(&mut st) % 8) as u32))
                     .collect();
                 addrs.sort_unstable();
                 addrs.dedup();
-                let effect = match next(&mut st) % 4 {
+                let effect = match splitmix64(&mut st) % 4 {
                     0 => StepEffect::Load(addrs),
                     1 => StepEffect::Store(addrs),
                     2 => StepEffect::Atomic(addrs),

@@ -49,9 +49,10 @@ pub use controller::{
     SPIN_YIELD_STEPS,
 };
 pub use explore::{
-    explore, ExploreConfig, ExploreReport, ExploreStats, Finding, Fnv, ModelOutcome,
-    ModelViolation, ViolationKind,
+    explore, ExploreConfig, ExploreReport, ExploreStats, Finding, ModelOutcome, ModelViolation,
+    ViolationKind,
 };
+pub use gpu_sim::Fnv;
 pub use litmus::{footprint_filter, model, run_once, Litmus, Workload, STRIPES_SRC};
 pub use sched::{minimize, parse, serialize, HEADER};
 pub use witness::{

@@ -22,15 +22,15 @@
 //!   a lost wakeup surfaces as an all-parked deadlock.
 
 use crate::controller::FootprintFilter;
-use crate::explore::{Fnv, ModelOutcome, ModelViolation, ViolationKind};
+use crate::explore::{ModelOutcome, ModelViolation, ViolationKind};
 use gpu_sim::{
-    race_sink, Addr, LaneMask, LaunchConfig, PolicyHandle, Sim, SimConfig, SimError, WarpCtx,
+    race_sink, Addr, Fnv, LaneMask, LaunchConfig, PolicyHandle, Sim, SimConfig, SimError, WarpCtx,
 };
 use gpu_stm::{
-    recorder, Blocking, BlockingMutation, LockStm, Mutation, Recorder, Stm, StmConfig, StmShared,
+    recorder, AnyStm, Blocking, BlockingMutation, Mutation, Recorder, Stm, StmConfig, Variant,
 };
 use std::rc::Rc;
-use workloads::{dispatch, RunError, StmRunner, Variant};
+use workloads::RunError;
 
 /// Simulated-cycle budget per explored run (generous: litmus runs finish
 /// in well under a million cycles unless genuinely stuck).
@@ -191,25 +191,7 @@ pub fn run_once(l: &Litmus, policy: Option<PolicyHandle>) -> ModelOutcome {
     let rec = recorder();
     let stm_cfg = StmConfig::new(N_LOCKS);
 
-    let result: Result<(), RunError> = if l.workload == Workload::Queue {
-        // The queue litmus always builds its own Blocking<LockStm>: the
-        // wrapper needs to own the runtime (and &mut Sim for its registry
-        // anchors), which the generic dispatch cannot provide.
-        run_queue_blocking(l, &mut sim, stm_cfg, rec.clone(), data, stagger)
-    } else if l.mutation.any() {
-        run_mutated(l, &mut sim, stm_cfg, rec.clone(), data, stagger)
-    } else {
-        dispatch(
-            &mut sim,
-            l.variant,
-            stm_cfg,
-            u64::from(data_words),
-            l.grid(),
-            Some(rec.clone()),
-            None,
-            LitmusRunner { litmus: *l, data, stagger },
-        )
-    };
+    let result = run_workload(l, &mut sim, stm_cfg, rec.clone(), data, stagger);
 
     let mut violations = Vec::new();
     match result {
@@ -320,9 +302,10 @@ fn sim_failure(e: &SimError) -> ModelOutcome {
     }
 }
 
-/// Runs the litmus under a directly-constructed [`LockStm`] carrying the
-/// seeded mutation (only the four lock-based variants have mutants).
-fn run_mutated(
+/// Builds the variant under test, carrying any seeded mutation, and runs
+/// the workload on it. The queue litmus wraps it in [`Blocking`], which
+/// owns the runtime and allocates its registry anchors on `sim`.
+fn run_workload(
     l: &Litmus,
     sim: &mut Sim,
     stm_cfg: StmConfig,
@@ -330,17 +313,23 @@ fn run_mutated(
     data: Addr,
     stagger: u64,
 ) -> Result<(), RunError> {
-    let shared = StmShared::init(sim, &stm_cfg).map_err(RunError::Sim)?;
-    let stm = match l.variant {
-        Variant::TbvSorting => LockStm::tbv_sorting(shared, stm_cfg),
-        Variant::HvSorting => LockStm::hv_sorting(shared, stm_cfg),
-        Variant::HvBackoff => LockStm::hv_backoff(shared, stm_cfg),
-        Variant::TbvBackoff => LockStm::tbv_backoff(shared, stm_cfg),
-        other => panic!("mutations only apply to lock-based variants, not {other}"),
+    if l.workload == Workload::Queue && !l.variant.is_lock_stm() {
+        return Err(RunError::Unsupported(
+            "the blocking queue litmus requires a per-thread lock-based STM variant",
+        ));
     }
-    .with_mutation(l.mutation)
-    .with_recorder(rec);
-    run_workload(l, sim, Rc::new(stm), data, stagger)
+    let stm = AnyStm::new(sim, l.variant, stm_cfg, u64::from(l.data_words()), l.grid())?
+        .with_mutation(l.mutation)
+        .with_recorder(rec);
+    match l.workload {
+        Workload::Bank => run_bank(l, sim, Rc::new(stm), data, stagger),
+        Workload::Hashtable => run_hashtable(l, sim, Rc::new(stm), data, stagger),
+        Workload::Stripes => run_stripes(l, sim, Rc::new(stm), data),
+        Workload::Queue => {
+            let stm = Blocking::new(sim, stm, &stm_cfg)?.with_mutation(l.blocking);
+            run_queue(l, sim, stm, data, stagger)
+        }
+    }
 }
 
 /// The blocking wakeup litmus. Actor 0 produces `actors - 1` items by
@@ -357,30 +346,13 @@ fn run_mutated(
 /// any consumer starts, so consumers drain without parking and seeded
 /// blocking mutants stay latent — parking only happens in controlled
 /// (explored) interleavings, exactly where the checker is looking.
-fn run_queue_blocking(
+fn run_queue(
     l: &Litmus,
     sim: &mut Sim,
-    stm_cfg: StmConfig,
-    rec: Recorder,
+    stm: Blocking<AnyStm>,
     data: Addr,
     stagger: u64,
 ) -> Result<(), RunError> {
-    let shared = StmShared::init(sim, &stm_cfg).map_err(RunError::Sim)?;
-    let inner = match l.variant {
-        Variant::TbvSorting => LockStm::tbv_sorting(shared, stm_cfg),
-        Variant::HvSorting => LockStm::hv_sorting(shared, stm_cfg),
-        Variant::HvBackoff => LockStm::hv_backoff(shared, stm_cfg),
-        Variant::TbvBackoff => LockStm::tbv_backoff(shared, stm_cfg),
-        _ => {
-            return Err(RunError::Unsupported(
-                "the blocking queue litmus requires a per-thread lock-based STM variant",
-            ))
-        }
-    }
-    .with_mutation(l.mutation)
-    .with_recorder(rec);
-    let stm = Blocking::new(sim, inner, &stm_cfg).map_err(RunError::Sim)?.with_mutation(l.blocking);
-
     let items = l.actors().saturating_sub(1).max(1);
     let avail = data;
     let done = data.offset(1);
@@ -454,43 +426,13 @@ fn run_queue_blocking(
     .map_err(RunError::Sim)
 }
 
-struct LitmusRunner {
-    litmus: Litmus,
-    data: Addr,
-    stagger: u64,
-}
-
-impl StmRunner for LitmusRunner {
-    type Out = ();
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<(), RunError> {
-        run_workload(&self.litmus, sim, stm, self.data, self.stagger)
-    }
-}
-
-fn run_workload<S: Stm + 'static>(
-    l: &Litmus,
-    sim: &mut Sim,
-    stm: Rc<S>,
-    data: Addr,
-    stagger: u64,
-) -> Result<(), RunError> {
-    match l.workload {
-        Workload::Bank => run_bank(l, sim, stm, data, stagger),
-        Workload::Hashtable => run_hashtable(l, sim, stm, data, stagger),
-        Workload::Stripes => run_stripes(l, sim, stm, data),
-        // Handled by `run_queue_blocking` before dispatch ever runs.
-        Workload::Queue => unreachable!("queue litmus bypasses the generic dispatch"),
-    }
-}
-
 /// Ring transfer: actor `a` moves one unit from account `a` to account
 /// `a+1 (mod n)`. With two actors the *encounter* orders are opposite —
 /// the shape that deadlocks unsorted encounter-order locking.
-fn run_bank<S: Stm + 'static>(
+fn run_bank(
     l: &Litmus,
     sim: &mut Sim,
-    stm: Rc<S>,
+    stm: Rc<AnyStm>,
     data: Addr,
     stagger: u64,
 ) -> Result<(), RunError> {
@@ -535,10 +477,10 @@ fn run_bank<S: Stm + 'static>(
 
 /// Open-addressing insert of key `actor + 1` by linear probing inside one
 /// transaction.
-fn run_hashtable<S: Stm + 'static>(
+fn run_hashtable(
     l: &Litmus,
     sim: &mut Sim,
-    stm: Rc<S>,
+    stm: Rc<AnyStm>,
     data: Addr,
     stagger: u64,
 ) -> Result<(), RunError> {
@@ -592,12 +534,7 @@ fn run_hashtable<S: Stm + 'static>(
 }
 
 /// The TXL stripes kernel, interpreted over the STM under test.
-fn run_stripes<S: Stm + 'static>(
-    l: &Litmus,
-    sim: &mut Sim,
-    stm: Rc<S>,
-    data: Addr,
-) -> Result<(), RunError> {
+fn run_stripes(l: &Litmus, sim: &mut Sim, stm: Rc<AnyStm>, data: Addr) -> Result<(), RunError> {
     let program = txl::compile(STRIPES_SRC)
         .map_err(|e| RunError::Verification(format!("stripes kernel does not compile: {e}")))?;
     let kernel = program

@@ -13,11 +13,10 @@
 
 use crate::controller::Controller;
 use crate::explore::{
-    explore, ExploreConfig, ExploreReport, Finding, Fnv, ModelOutcome, ModelViolation,
-    ViolationKind,
+    explore, ExploreConfig, ExploreReport, Finding, ModelOutcome, ModelViolation, ViolationKind,
 };
 use crate::{sched, Schedule};
-use gpu_sim::{race_sink, PolicyHandle, Sim, SimConfig, SimError};
+use gpu_sim::{race_sink, Fnv, PolicyHandle, Sim, SimConfig, SimError};
 use gpu_stm::Mutation;
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -5,7 +5,7 @@
 //! txl lint [--capacity N] [--format text|json] <file.txl ...|->
 //! txl fix  [--capacity N] [--format text|json] [--diff|--write|--check]
 //!          [--max-rounds N] [--no-gate] <file.txl ...|->
-//! txl compile <file.txl ...|->               # parse + check only
+//! txl compile <file.txl ...|->               # parse + check, per-kernel report
 //! txl analyze [--threads N] [--capacity N] [--format text|json] <file.txl ...|->
 //! ```
 //!
@@ -23,6 +23,10 @@
 //! clean, the dynamic gate ([`txl::fix::dynamic_check`]) re-runs it on
 //! the simulator with the race detector attached; `--no-gate` skips
 //! that. `--format json` emits machine-readable patch records.
+//!
+//! `compile` parses and checks each file and prints every kernel's
+//! signature, local-slot count, and the register-checkpoint set the
+//! compiler inferred for each `atomic` block.
 //!
 //! `analyze` runs the static contention & cost analysis
 //! ([`txl::analyze_source`]) and prints each file's per-transaction
@@ -45,6 +49,7 @@
 
 use std::io::Read;
 use std::process::ExitCode;
+use txl::ast::{Kernel, Stmt};
 use txl::fix::{dynamic_check, fix_source, FixConfig, FixReport};
 use txl::lint::{lint_source_with_fixes, Diagnostic, LintConfig};
 
@@ -344,7 +349,10 @@ fn run_compile(files: &[&str]) -> ExitCode {
             }
         };
         match txl::compile(&source) {
-            Ok(p) => println!("{path}: ok ({} kernel(s))", p.kernels.len()),
+            Ok(p) => {
+                p.kernels.iter().for_each(print_kernel);
+                println!("{path}: ok ({} kernel(s))", p.kernels.len());
+            }
             Err(e) => {
                 eprintln!("{path}: {e}");
                 return ExitCode::from(EXIT_ERROR);
@@ -352,6 +360,53 @@ fn run_compile(files: &[&str]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Prints a kernel's signature, its local-slot count, and the checkpoint
+/// registers of each `atomic` block (the paper's compiler-inferred
+/// register checkpointing, Section 3.2.3).
+fn print_kernel(kernel: &Kernel) {
+    let params: Vec<String> = kernel
+        .params
+        .iter()
+        .map(|p| match p.declared_len {
+            Some(n) => format!("{}: array[{n}]", p.name),
+            None => format!("{}: array", p.name),
+        })
+        .collect();
+    println!("kernel {}({})", kernel.name, params.join(", "));
+    println!("  locals: {} slot(s)", kernel.n_slots);
+    let mut names = vec![String::new(); kernel.n_slots];
+    let mut checkpoints = Vec::new();
+    walk(&kernel.body, &mut names, &mut checkpoints);
+    if checkpoints.is_empty() {
+        println!("  atomic blocks: none");
+    }
+    for (i, slots) in checkpoints.iter().enumerate() {
+        let regs: Vec<&str> = slots.iter().map(|s| names[*s].as_str()).collect();
+        let regs = if regs.is_empty() { "∅".to_string() } else { regs.join(", ") };
+        println!("  atomic #{i}: checkpoint registers {{{regs}}}");
+    }
+}
+
+/// Names each local slot after its first `let` and collects the
+/// checkpoint set of every `atomic` block, in source order.
+fn walk<'k>(stmts: &'k [Stmt], names: &mut [String], checkpoints: &mut Vec<&'k [usize]>) {
+    for s in stmts {
+        match s {
+            Stmt::Let { name, slot, .. } if names[*slot].is_empty() => names[*slot] = name.clone(),
+            Stmt::If { then_blk, else_blk, .. } => {
+                walk(then_blk, names, checkpoints);
+                walk(else_blk, names, checkpoints);
+            }
+            Stmt::While { body, .. } => walk(body, names, checkpoints),
+            Stmt::Atomic { body, checkpoint, .. } => {
+                checkpoints.push(checkpoint);
+                walk(body, names, checkpoints);
+            }
+            _ => {}
+        }
+    }
 }
 
 fn run_lint(files: &[&str], cfg: &LintConfig, format: Format) -> ExitCode {

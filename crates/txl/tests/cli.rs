@@ -80,8 +80,15 @@ fn usage_errors_exit_two() {
 
 #[test]
 fn compile_ok_exits_zero() {
-    let out = txl(&["compile", &fixture("weak_isolation_clean.txl")]);
+    let out = txl(&[
+        "compile",
+        &fixture("weak_isolation_clean.txl"),
+        &fixture("overflow_writeset_fixed.txl"),
+    ]);
     assert_eq!(code(&out), 0, "{out:?}");
+    let text = stdout(&out);
+    assert!(text.contains("  atomic #0: checkpoint registers {∅}"), "{text}");
+    assert!(text.contains("  atomic #0: checkpoint registers {i}"), "{text}");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Shared run configuration and helpers for all workloads.
 
-use crate::outcome::RunOutcome;
-use gpu_sim::{RunReport, SimConfig};
-use gpu_stm::{Recorder, Stm, StmConfig, TxTraceSink};
+use crate::outcome::{RunError, RunOutcome};
+use gpu_sim::{LaunchConfig, RunReport, Sim, SimConfig};
+use gpu_stm::{AnyStm, Recorder, Stm, StmConfig, TxTraceSink, Variant};
 
 /// Bundle of knobs common to every workload run.
 #[derive(Clone, Debug, Default)]
@@ -31,10 +31,29 @@ impl RunConfig {
     }
 
     /// Attaches a transaction-lifecycle trace sink to every STM variant
-    /// the config dispatches.
+    /// the config builds.
     pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
         self.trace = Some(sink);
         self
+    }
+
+    /// Builds `variant` in `sim` ([`AnyStm::new`]) with this config's
+    /// recorder and trace sink attached.
+    pub(crate) fn build_stm(
+        &self,
+        sim: &mut Sim,
+        variant: Variant,
+        shared_data_words: u64,
+        grid: LaunchConfig,
+    ) -> Result<AnyStm, RunError> {
+        let mut stm = AnyStm::new(sim, variant, self.stm, shared_data_words, grid)?;
+        if let Some(rec) = self.recorder.clone() {
+            stm = stm.with_recorder(rec);
+        }
+        if let Some(t) = self.trace.clone() {
+            stm = stm.with_trace(t);
+        }
+        Ok(stm)
     }
 }
 
@@ -44,25 +63,9 @@ pub fn outcome<S: Stm>(kernels: Vec<RunReport>, stm: &S) -> RunOutcome {
     RunOutcome { kernels, tx }
 }
 
-/// splitmix64 hash, used by workloads for key hashing.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix64_spreads_consecutive_inputs() {
-        let a = mix64(1);
-        let b = mix64(2);
-        assert_ne!(a, b);
-        assert!((a ^ b).count_ones() > 8, "poor diffusion: {a:#x} vs {b:#x}");
-    }
 
     #[test]
     fn run_config_builders() {

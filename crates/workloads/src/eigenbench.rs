@@ -11,9 +11,8 @@
 
 use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
 use gpu_sim::{LaunchConfig, Sim, WarpCtx, WarpRng};
-use gpu_stm::{lane_addrs, lane_vals, Stm};
+use gpu_stm::{lane_addrs, lane_vals, AnyStm, Stm, Variant};
 use std::rc::Rc;
 
 /// EigenBench parameters.
@@ -56,97 +55,92 @@ impl Default for EbParams {
     }
 }
 
-struct EbRunner {
+/// Launches the EigenBench kernel under `stm` over its hot, mild and cold
+/// arrays.
+fn kernel(
+    sim: &mut Sim,
+    stm: Rc<AnyStm>,
     params: EbParams,
     grid: LaunchConfig,
     hot: gpu_sim::Addr,
     mild: gpu_sim::Addr,
     cold: gpu_sim::Addr,
-}
-
-impl StmRunner for EbRunner {
-    type Out = RunOutcome;
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<RunOutcome, RunError> {
-        let EbRunner { params, grid, hot, mild, cold } = self;
-        let kstm = Rc::clone(&stm);
-        let report = sim.launch(grid, move |ctx: WarpCtx| {
-            let stm = Rc::clone(&kstm);
-            async move {
-                let mut w = stm.new_warp();
-                let mut rng = WarpRng::new(params.seed, ctx.id().thread_id(0));
-                let launch = ctx.id().launch_mask;
-                let mut remaining = [params.txs_per_thread; 32];
-                loop {
-                    let pending = launch.filter(|l| remaining[l] > 0);
-                    if pending.none() {
+) -> Result<RunOutcome, RunError> {
+    let kstm = Rc::clone(&stm);
+    let report = sim.launch(grid, move |ctx: WarpCtx| {
+        let stm = Rc::clone(&kstm);
+        async move {
+            let mut w = stm.new_warp();
+            let mut rng = WarpRng::new(params.seed, ctx.id().thread_id(0));
+            let launch = ctx.id().launch_mask;
+            let mut remaining = [params.txs_per_thread; 32];
+            loop {
+                let pending = launch.filter(|l| remaining[l] > 0);
+                if pending.none() {
+                    break;
+                }
+                // Only begin..commit is speculative: the cold phase
+                // below is genuinely non-transactional (thread-private)
+                // and must stay visible to the race detector.
+                ctx.set_speculative(true);
+                let active = stm.begin(&mut w, &ctx, pending).await;
+                if active.none() {
+                    ctx.set_speculative(false);
+                    continue;
+                }
+                let mut ok = active;
+                // Hot-array transactional traffic.
+                for op in 0..(params.hot_reads + params.hot_writes) {
+                    ok &= stm.opaque(&w);
+                    if ok.none() {
                         break;
                     }
-                    // Only begin..commit is speculative: the cold phase
-                    // below is genuinely non-transactional (thread-private)
-                    // and must stay visible to the race detector.
-                    ctx.set_speculative(true);
-                    let active = stm.begin(&mut w, &ctx, pending).await;
-                    if active.none() {
-                        ctx.set_speculative(false);
-                        continue;
+                    let addrs = lane_addrs(ok, |l| hot.offset(rng.below(l, params.hot_words)));
+                    if op < params.hot_reads {
+                        let _ = stm.read(&mut w, &ctx, ok, &addrs).await;
+                    } else {
+                        let vals = lane_vals(ok, |l| rng.next_u32(l));
+                        stm.write(&mut w, &ctx, ok, &addrs, &vals).await;
                     }
-                    let mut ok = active;
-                    // Hot-array transactional traffic.
-                    for op in 0..(params.hot_reads + params.hot_writes) {
-                        ok &= stm.opaque(&w);
-                        if ok.none() {
-                            break;
-                        }
-                        let addrs = lane_addrs(ok, |l| hot.offset(rng.below(l, params.hot_words)));
-                        if op < params.hot_reads {
-                            let _ = stm.read(&mut w, &ctx, ok, &addrs).await;
-                        } else {
-                            let vals = lane_vals(ok, |l| rng.next_u32(l));
-                            stm.write(&mut w, &ctx, ok, &addrs, &vals).await;
-                        }
+                }
+                // Mild-array traffic: private, still transactional.
+                for op in 0..params.mild_ops * 2 {
+                    ok &= stm.opaque(&w);
+                    if ok.none() {
+                        break;
                     }
-                    // Mild-array traffic: private, still transactional.
-                    for op in 0..params.mild_ops * 2 {
-                        ok &= stm.opaque(&w);
-                        if ok.none() {
-                            break;
-                        }
-                        let addrs = lane_addrs(ok, |l| {
+                    let addrs = lane_addrs(ok, |l| {
+                        let tid = ctx.id().thread_id(l);
+                        mild.offset(tid * params.mild_words + rng.below(l, params.mild_words))
+                    });
+                    if op < params.mild_ops {
+                        let _ = stm.read(&mut w, &ctx, ok, &addrs).await;
+                    } else {
+                        let vals = lane_vals(ok, |l| rng.next_u32(l));
+                        stm.write(&mut w, &ctx, ok, &addrs, &vals).await;
+                    }
+                }
+                let committed = stm.commit(&mut w, &ctx, active).await;
+                ctx.set_speculative(false);
+                for l in committed.iter() {
+                    remaining[l] -= 1;
+                }
+                // Cold (native) phase between transactions.
+                if committed.any() {
+                    for _ in 0..params.cold_ops {
+                        let addrs = lane_addrs(committed, |l| {
                             let tid = ctx.id().thread_id(l);
-                            mild.offset(tid * params.mild_words + rng.below(l, params.mild_words))
+                            cold.offset(tid * params.cold_words + rng.below(l, params.cold_words))
                         });
-                        if op < params.mild_ops {
-                            let _ = stm.read(&mut w, &ctx, ok, &addrs).await;
-                        } else {
-                            let vals = lane_vals(ok, |l| rng.next_u32(l));
-                            stm.write(&mut w, &ctx, ok, &addrs, &vals).await;
-                        }
-                    }
-                    let committed = stm.commit(&mut w, &ctx, active).await;
-                    ctx.set_speculative(false);
-                    for l in committed.iter() {
-                        remaining[l] -= 1;
-                    }
-                    // Cold (native) phase between transactions.
-                    if committed.any() {
-                        for _ in 0..params.cold_ops {
-                            let addrs = lane_addrs(committed, |l| {
-                                let tid = ctx.id().thread_id(l);
-                                cold.offset(
-                                    tid * params.cold_words + rng.below(l, params.cold_words),
-                                )
-                            });
-                            let vals = ctx.load(committed, &addrs).await;
-                            let upd = lane_vals(committed, |l| vals[l].wrapping_add(1));
-                            ctx.store(committed, &addrs, &upd).await;
-                        }
+                        let vals = ctx.load(committed, &addrs).await;
+                        let upd = lane_vals(committed, |l| vals[l].wrapping_add(1));
+                        ctx.store(committed, &addrs, &upd).await;
                     }
                 }
             }
-        })?;
-        Ok(outcome(vec![report], &*stm))
-    }
+        }
+    })?;
+    Ok(outcome(vec![report], &*stm))
 }
 
 /// Runs EigenBench under `variant`.
@@ -165,16 +159,8 @@ pub fn run(
     let hot = sim.alloc(params.hot_words)?;
     let mild = sim.alloc(threads * params.mild_words)?;
     let cold = sim.alloc(threads * params.cold_words)?;
-    dispatch(
-        &mut sim,
-        variant,
-        cfg.stm,
-        params.hot_words as u64,
-        grid,
-        cfg.recorder.clone(),
-        cfg.trace.clone(),
-        EbRunner { params: *params, grid, hot, mild, cold },
-    )
+    let stm = Rc::new(cfg.build_stm(&mut sim, variant, params.hot_words as u64, grid)?);
+    kernel(&mut sim, stm, *params, grid, hot, mild, cold)
 }
 
 #[cfg(test)]

@@ -10,11 +10,10 @@
 //!   writes forward/backward links. The paper's Figure 5 shows this kernel
 //!   dominated by STM overhead yet still ~20x faster than CGL.
 
-use crate::common::{mix64, outcome, RunConfig};
+use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
-use gpu_sim::{Addr, LaunchConfig, Sim, WarpCtx};
-use gpu_stm::{lane_addrs, lane_vals, Stm};
+use gpu_sim::{mix64, Addr, LaunchConfig, Sim, WarpCtx};
+use gpu_stm::{lane_addrs, lane_vals, AnyStm, Stm, Variant};
 use std::rc::Rc;
 
 /// Genome parameters.
@@ -71,130 +70,121 @@ pub struct GnOutcome {
     pub n_unique: u32,
 }
 
-struct DedupRunner {
+/// GN-1: inserts every thread's segment into the shared hash set.
+fn dedup(
+    sim: &mut Sim,
+    stm: Rc<AnyStm>,
     params: GnParams,
     grid: LaunchConfig,
     table: Addr,
-}
-
-impl StmRunner for DedupRunner {
-    type Out = RunOutcome;
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<RunOutcome, RunError> {
-        let DedupRunner { params, grid, table } = self;
-        let kstm = Rc::clone(&stm);
-        let report = sim.launch(grid, move |ctx: WarpCtx| {
-            let stm = Rc::clone(&kstm);
-            async move {
-                let mut w = stm.new_warp();
-                let launch =
-                    ctx.id().launch_mask.filter(|l| ctx.id().thread_id(l) < params.n_segments);
-                let mut pending = launch;
-                // Native phase: segment hashing/packing before insertion
-                // (the STAMP kernel's non-transactional work).
-                ctx.idle(160).await;
-                ctx.set_speculative(true);
-                while pending.any() {
-                    let active = stm.begin(&mut w, &ctx, pending).await;
-                    if active.none() {
-                        continue;
-                    }
-                    let values: [u32; 32] =
-                        std::array::from_fn(|l| params.segment(ctx.id().thread_id(l)));
-                    let mut cursor: [u32; 32] = std::array::from_fn(|l| params.slot_of(values[l]));
-                    let mut probing = active;
-                    while probing.any() {
-                        let addrs = lane_addrs(probing, |l| table.offset(cursor[l]));
-                        let vals = stm.read(&mut w, &ctx, probing, &addrs).await;
-                        probing &= stm.opaque(&w);
-                        // Empty slot: claim it. Our value: duplicate, done.
-                        let empty = probing.filter(|l| vals[l] == 0);
-                        let dup = probing.filter(|l| vals[l] == values[l]);
-                        if empty.any() {
-                            let ea = lane_addrs(empty, |l| table.offset(cursor[l]));
-                            let ev = lane_vals(empty, |l| values[l]);
-                            stm.write(&mut w, &ctx, empty, &ea, &ev).await;
-                        }
-                        probing &= !(empty | dup);
-                        for l in probing.iter() {
-                            cursor[l] = (cursor[l] + 1) % params.table_words;
-                        }
-                    }
-                    let committed = stm.commit(&mut w, &ctx, active).await;
-                    pending &= !committed;
+) -> Result<RunOutcome, RunError> {
+    let kstm = Rc::clone(&stm);
+    let report = sim.launch(grid, move |ctx: WarpCtx| {
+        let stm = Rc::clone(&kstm);
+        async move {
+            let mut w = stm.new_warp();
+            let launch = ctx.id().launch_mask.filter(|l| ctx.id().thread_id(l) < params.n_segments);
+            let mut pending = launch;
+            // Native phase: segment hashing/packing before insertion
+            // (the STAMP kernel's non-transactional work).
+            ctx.idle(160).await;
+            ctx.set_speculative(true);
+            while pending.any() {
+                let active = stm.begin(&mut w, &ctx, pending).await;
+                if active.none() {
+                    continue;
                 }
-                ctx.set_speculative(false);
+                let values: [u32; 32] =
+                    std::array::from_fn(|l| params.segment(ctx.id().thread_id(l)));
+                let mut cursor: [u32; 32] = std::array::from_fn(|l| params.slot_of(values[l]));
+                let mut probing = active;
+                while probing.any() {
+                    let addrs = lane_addrs(probing, |l| table.offset(cursor[l]));
+                    let vals = stm.read(&mut w, &ctx, probing, &addrs).await;
+                    probing &= stm.opaque(&w);
+                    // Empty slot: claim it. Our value: duplicate, done.
+                    let empty = probing.filter(|l| vals[l] == 0);
+                    let dup = probing.filter(|l| vals[l] == values[l]);
+                    if empty.any() {
+                        let ea = lane_addrs(empty, |l| table.offset(cursor[l]));
+                        let ev = lane_vals(empty, |l| values[l]);
+                        stm.write(&mut w, &ctx, empty, &ea, &ev).await;
+                    }
+                    probing &= !(empty | dup);
+                    for l in probing.iter() {
+                        cursor[l] = (cursor[l] + 1) % params.table_words;
+                    }
+                }
+                let committed = stm.commit(&mut w, &ctx, active).await;
+                pending &= !committed;
             }
-        })?;
-        Ok(outcome(vec![report], &*stm))
-    }
+            ctx.set_speculative(false);
+        }
+    })?;
+    Ok(outcome(vec![report], &*stm))
 }
 
-struct LinkRunner {
+/// GN-2: links the `n_unique` segments into chains through `next`/`prev`.
+#[allow(clippy::too_many_arguments)] // the kernel's three arrays plus its geometry
+fn link(
+    sim: &mut Sim,
+    stm: Rc<AnyStm>,
     params: GnParams,
     grid: LaunchConfig,
     n_unique: u32,
     table: Addr,
     next: Addr,
     prev: Addr,
-}
-
-impl StmRunner for LinkRunner {
-    type Out = RunOutcome;
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<RunOutcome, RunError> {
-        let LinkRunner { params, grid, n_unique, table, next, prev } = self;
-        let kstm = Rc::clone(&stm);
-        let report = sim.launch(grid, move |ctx: WarpCtx| {
-            let stm = Rc::clone(&kstm);
-            async move {
-                let mut w = stm.new_warp();
-                let launch = ctx.id().launch_mask.filter(|l| ctx.id().thread_id(l) < n_unique);
-                let mut pending = launch;
-                // Native phase: overlap computation for the match step.
-                ctx.idle(80).await;
-                ctx.set_speculative(true);
-                while pending.any() {
-                    let active = stm.begin(&mut w, &ctx, pending).await;
-                    if active.none() {
-                        continue;
-                    }
-                    let ids: [u32; 32] = std::array::from_fn(|l| ctx.id().thread_id(l));
-                    let succs: [u32; 32] =
-                        std::array::from_fn(|l| params.successor(ids[l], n_unique));
-                    // Overlap matching: probe the segment table (2 reads),
-                    // mimicking the hash lookups of the STAMP kernel.
-                    let mut ok = active;
-                    for probe in 0..2u32 {
-                        ok &= stm.opaque(&w);
-                        if ok.none() {
-                            break;
-                        }
-                        let pa = lane_addrs(ok, |l| {
-                            table.offset((params.slot_of(succs[l]) + probe) % params.table_words)
-                        });
-                        let _ = stm.read(&mut w, &ctx, ok, &pa).await;
-                    }
-                    // Link: next[i] = succ, prev[succ] = i. Collisions on
-                    // `succ` are the conflict source.
-                    ok &= stm.opaque(&w);
-                    if ok.any() {
-                        let na = lane_addrs(ok, |l| next.offset(ids[l]));
-                        let _cur = stm.read(&mut w, &ctx, ok, &na).await;
-                        let pa = lane_addrs(ok, |l| prev.offset(succs[l]));
-                        let _old_prev = stm.read(&mut w, &ctx, ok, &pa).await;
-                        let ok2 = ok & stm.opaque(&w);
-                        stm.write(&mut w, &ctx, ok2, &na, &lane_vals(ok2, |l| succs[l] + 1)).await;
-                        stm.write(&mut w, &ctx, ok2, &pa, &lane_vals(ok2, |l| ids[l] + 1)).await;
-                    }
-                    let committed = stm.commit(&mut w, &ctx, active).await;
-                    pending &= !committed;
+) -> Result<RunOutcome, RunError> {
+    let kstm = Rc::clone(&stm);
+    let report = sim.launch(grid, move |ctx: WarpCtx| {
+        let stm = Rc::clone(&kstm);
+        async move {
+            let mut w = stm.new_warp();
+            let launch = ctx.id().launch_mask.filter(|l| ctx.id().thread_id(l) < n_unique);
+            let mut pending = launch;
+            // Native phase: overlap computation for the match step.
+            ctx.idle(80).await;
+            ctx.set_speculative(true);
+            while pending.any() {
+                let active = stm.begin(&mut w, &ctx, pending).await;
+                if active.none() {
+                    continue;
                 }
-                ctx.set_speculative(false);
+                let ids: [u32; 32] = std::array::from_fn(|l| ctx.id().thread_id(l));
+                let succs: [u32; 32] = std::array::from_fn(|l| params.successor(ids[l], n_unique));
+                // Overlap matching: probe the segment table (2 reads),
+                // mimicking the hash lookups of the STAMP kernel.
+                let mut ok = active;
+                for probe in 0..2u32 {
+                    ok &= stm.opaque(&w);
+                    if ok.none() {
+                        break;
+                    }
+                    let pa = lane_addrs(ok, |l| {
+                        table.offset((params.slot_of(succs[l]) + probe) % params.table_words)
+                    });
+                    let _ = stm.read(&mut w, &ctx, ok, &pa).await;
+                }
+                // Link: next[i] = succ, prev[succ] = i. Collisions on
+                // `succ` are the conflict source.
+                ok &= stm.opaque(&w);
+                if ok.any() {
+                    let na = lane_addrs(ok, |l| next.offset(ids[l]));
+                    let _cur = stm.read(&mut w, &ctx, ok, &na).await;
+                    let pa = lane_addrs(ok, |l| prev.offset(succs[l]));
+                    let _old_prev = stm.read(&mut w, &ctx, ok, &pa).await;
+                    let ok2 = ok & stm.opaque(&w);
+                    stm.write(&mut w, &ctx, ok2, &na, &lane_vals(ok2, |l| succs[l] + 1)).await;
+                    stm.write(&mut w, &ctx, ok2, &pa, &lane_vals(ok2, |l| ids[l] + 1)).await;
+                }
+                let committed = stm.commit(&mut w, &ctx, active).await;
+                pending &= !committed;
             }
-        })?;
-        Ok(outcome(vec![report], &*stm))
-    }
+            ctx.set_speculative(false);
+        }
+    })?;
+    Ok(outcome(vec![report], &*stm))
 }
 
 /// Runs both genome kernels under `variant` and verifies the results:
@@ -216,16 +206,8 @@ pub fn run(
     let table = sim.alloc(params.table_words)?;
 
     // ---- Kernel 1: dedup ----
-    let k1 = dispatch(
-        &mut sim,
-        variant,
-        cfg.stm,
-        params.table_words as u64,
-        grid1,
-        cfg.recorder.clone(),
-        cfg.trace.clone(),
-        DedupRunner { params: *params, grid: grid1, table },
-    )?;
+    let stm = Rc::new(cfg.build_stm(&mut sim, variant, params.table_words as u64, grid1)?);
+    let k1 = dedup(&mut sim, stm, *params, grid1, table)?;
 
     // Verify dedup against host ground truth.
     let mut expected: Vec<u32> = (0..params.n_segments).map(|t| params.segment(t)).collect();
@@ -246,16 +228,8 @@ pub fn run(
     // ---- Kernel 2: link ----
     let next = sim.alloc(n_unique)?;
     let prev = sim.alloc(n_unique)?;
-    let k2 = dispatch(
-        &mut sim,
-        variant,
-        cfg.stm,
-        params.table_words as u64,
-        grid2,
-        cfg.recorder.clone(),
-        cfg.trace.clone(),
-        LinkRunner { params: *params, grid: grid2, n_unique, table, next, prev },
-    )?;
+    let stm = Rc::new(cfg.build_stm(&mut sim, variant, params.table_words as u64, grid2)?);
+    let k2 = link(&mut sim, stm, *params, grid2, n_unique, table, next, prev)?;
 
     // Verify links.
     let next_v = sim.read_slice(next, n_unique);

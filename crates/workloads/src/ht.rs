@@ -7,11 +7,10 @@
 //! data sharing GPU locks struggle with (the paper calls fine-grained
 //! locking for HT infeasible).
 
-use crate::common::{mix64, outcome, RunConfig};
+use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
-use gpu_sim::{Addr, LaunchConfig, Sim, WarpCtx};
-use gpu_stm::{lane_addrs, lane_vals, Stm};
+use gpu_sim::{mix64, Addr, LaunchConfig, Sim, WarpCtx};
+use gpu_stm::{lane_addrs, lane_vals, AnyStm, Stm, Variant};
 use std::rc::Rc;
 
 /// Hashtable parameters.
@@ -51,79 +50,73 @@ impl HtParams {
     }
 }
 
-struct HtRunner {
+/// Launches the HT insert kernel under `stm` over the table at `table`.
+fn kernel(
+    sim: &mut Sim,
+    stm: Rc<AnyStm>,
     params: HtParams,
     grid: LaunchConfig,
     table: Addr,
-}
-
-impl StmRunner for HtRunner {
-    type Out = RunOutcome;
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<RunOutcome, RunError> {
-        let HtRunner { params, grid, table } = self;
-        let kstm = Rc::clone(&stm);
-        let report = sim.launch(grid, move |ctx: WarpCtx| {
-            let stm = Rc::clone(&kstm);
-            async move {
-                let mut w = stm.new_warp();
-                let launch = ctx.id().launch_mask;
-                let mut remaining = [params.txs_per_thread; 32];
-                ctx.set_speculative(true);
-                loop {
-                    let pending = launch.filter(|l| remaining[l] > 0);
-                    if pending.none() {
+) -> Result<RunOutcome, RunError> {
+    let kstm = Rc::clone(&stm);
+    let report = sim.launch(grid, move |ctx: WarpCtx| {
+        let stm = Rc::clone(&kstm);
+        async move {
+            let mut w = stm.new_warp();
+            let launch = ctx.id().launch_mask;
+            let mut remaining = [params.txs_per_thread; 32];
+            ctx.set_speculative(true);
+            loop {
+                let pending = launch.filter(|l| remaining[l] > 0);
+                if pending.none() {
+                    break;
+                }
+                let active = stm.begin(&mut w, &ctx, pending).await;
+                if active.none() {
+                    continue;
+                }
+                let mut ok = active;
+                for i in 0..params.inserts_per_tx {
+                    ok &= stm.opaque(&w);
+                    if ok.none() {
                         break;
                     }
-                    let active = stm.begin(&mut w, &ctx, pending).await;
-                    if active.none() {
-                        continue;
-                    }
-                    let mut ok = active;
-                    for i in 0..params.inserts_per_tx {
-                        ok &= stm.opaque(&w);
-                        if ok.none() {
-                            break;
+                    // Element index within this thread's key space.
+                    let keys: [u32; 32] = std::array::from_fn(|l| {
+                        let tid = ctx.id().thread_id(l);
+                        let done = (params.txs_per_thread - remaining[l]) * params.inserts_per_tx;
+                        params.key(tid, done + i)
+                    });
+                    // Linear probing: all unplaced lanes read their
+                    // probe slot each round.
+                    let mut cursor: [u32; 32] = std::array::from_fn(|l| params.slot_of(keys[l]));
+                    let mut probing = ok;
+                    while probing.any() {
+                        let addrs = lane_addrs(probing, |l| table.offset(cursor[l]));
+                        let vals = stm.read(&mut w, &ctx, probing, &addrs).await;
+                        probing &= stm.opaque(&w);
+                        let empty = probing.filter(|l| vals[l] == 0);
+                        if empty.any() {
+                            let eaddrs = lane_addrs(empty, |l| table.offset(cursor[l]));
+                            let keyv = lane_vals(empty, |l| keys[l]);
+                            stm.write(&mut w, &ctx, empty, &eaddrs, &keyv).await;
                         }
-                        // Element index within this thread's key space.
-                        let keys: [u32; 32] = std::array::from_fn(|l| {
-                            let tid = ctx.id().thread_id(l);
-                            let done =
-                                (params.txs_per_thread - remaining[l]) * params.inserts_per_tx;
-                            params.key(tid, done + i)
-                        });
-                        // Linear probing: all unplaced lanes read their
-                        // probe slot each round.
-                        let mut cursor: [u32; 32] =
-                            std::array::from_fn(|l| params.slot_of(keys[l]));
-                        let mut probing = ok;
-                        while probing.any() {
-                            let addrs = lane_addrs(probing, |l| table.offset(cursor[l]));
-                            let vals = stm.read(&mut w, &ctx, probing, &addrs).await;
-                            probing &= stm.opaque(&w);
-                            let empty = probing.filter(|l| vals[l] == 0);
-                            if empty.any() {
-                                let eaddrs = lane_addrs(empty, |l| table.offset(cursor[l]));
-                                let keyv = lane_vals(empty, |l| keys[l]);
-                                stm.write(&mut w, &ctx, empty, &eaddrs, &keyv).await;
-                            }
-                            probing &= !empty;
-                            for l in probing.iter() {
-                                cursor[l] = (cursor[l] + 1) % params.table_words;
-                            }
+                        probing &= !empty;
+                        for l in probing.iter() {
+                            cursor[l] = (cursor[l] + 1) % params.table_words;
                         }
-                        ok &= stm.opaque(&w);
                     }
-                    let committed = stm.commit(&mut w, &ctx, active).await;
-                    for l in committed.iter() {
-                        remaining[l] -= 1;
-                    }
+                    ok &= stm.opaque(&w);
                 }
-                ctx.set_speculative(false);
+                let committed = stm.commit(&mut w, &ctx, active).await;
+                for l in committed.iter() {
+                    remaining[l] -= 1;
+                }
             }
-        })?;
-        Ok(outcome(vec![report], &*stm))
-    }
+            ctx.set_speculative(false);
+        }
+    })?;
+    Ok(outcome(vec![report], &*stm))
 }
 
 /// Runs the hashtable micro-benchmark under `variant` and verifies the
@@ -147,16 +140,8 @@ pub fn run(
     );
     let mut sim = Sim::new(cfg.sim.clone());
     let table = sim.alloc(params.table_words)?;
-    let out = dispatch(
-        &mut sim,
-        variant,
-        cfg.stm,
-        params.table_words as u64,
-        grid,
-        cfg.recorder.clone(),
-        cfg.trace.clone(),
-        HtRunner { params: *params, grid, table },
-    )?;
+    let stm = Rc::new(cfg.build_stm(&mut sim, variant, params.table_words as u64, grid)?);
+    let out = kernel(&mut sim, stm, *params, grid, table)?;
 
     // Verify: every key present exactly once, no foreign values.
     let slots = sim.read_slice(table, params.table_words);

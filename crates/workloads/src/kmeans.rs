@@ -7,11 +7,10 @@
 //! conflict rate is high and — as the paper's Figure 2 shows — KM gains
 //! nothing from STM parallelisation. It is the evaluation's stress case.
 
-use crate::common::{mix64, outcome, RunConfig};
+use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
-use gpu_sim::{Addr, LaunchConfig, Sim, WarpCtx};
-use gpu_stm::{lane_addrs, lane_vals, Stm};
+use gpu_sim::{mix64, Addr, LaunchConfig, Sim, WarpCtx};
+use gpu_stm::{lane_addrs, lane_vals, AnyStm, Stm, Variant};
 use std::rc::Rc;
 
 /// K-means parameters.
@@ -72,85 +71,80 @@ impl KmParams {
     }
 }
 
-struct KmRunner {
+/// Launches the k-means accumulation kernel under `stm` over `accum`.
+fn kernel(
+    sim: &mut Sim,
+    stm: Rc<AnyStm>,
     params: KmParams,
     grid: LaunchConfig,
     accum: Addr,
-}
-
-impl StmRunner for KmRunner {
-    type Out = RunOutcome;
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<RunOutcome, RunError> {
-        let KmRunner { params, grid, accum } = self;
-        let kstm = Rc::clone(&stm);
-        let report = sim.launch(grid, move |ctx: WarpCtx| {
-            let stm = Rc::clone(&kstm);
-            async move {
-                let mut w = stm.new_warp();
-                let launch = ctx.id().launch_mask;
-                let mut remaining = [params.points_per_thread; 32];
-                let mut assigned: [u32; 32] = [0; 32];
-                let mut fresh = launch;
-                ctx.set_speculative(true);
-                loop {
-                    let pending = launch.filter(|l| remaining[l] > 0);
-                    if pending.none() {
+) -> Result<RunOutcome, RunError> {
+    let kstm = Rc::clone(&stm);
+    let report = sim.launch(grid, move |ctx: WarpCtx| {
+        let stm = Rc::clone(&kstm);
+        async move {
+            let mut w = stm.new_warp();
+            let launch = ctx.id().launch_mask;
+            let mut remaining = [params.points_per_thread; 32];
+            let mut assigned: [u32; 32] = [0; 32];
+            let mut fresh = launch;
+            ctx.set_speculative(true);
+            loop {
+                let pending = launch.filter(|l| remaining[l] > 0);
+                if pending.none() {
+                    break;
+                }
+                // Native phase: nearest-centroid computation for lanes
+                // starting a new point (k × dims multiply-accumulate).
+                let starting = pending & fresh;
+                if starting.any() {
+                    for l in starting.iter() {
+                        let j = params.points_per_thread - remaining[l];
+                        assigned[l] = params.assignment(ctx.id().thread_id(l), j);
+                    }
+                    ctx.idle(4 * (params.clusters * params.dims) as u64).await;
+                    fresh &= !starting;
+                }
+                let active = stm.begin(&mut w, &ctx, pending).await;
+                if active.none() {
+                    continue;
+                }
+                // Transaction: accumulate the point into its centroid.
+                let mut ok = active;
+                for d in 0..params.dims {
+                    ok &= stm.opaque(&w);
+                    if ok.none() {
                         break;
                     }
-                    // Native phase: nearest-centroid computation for lanes
-                    // starting a new point (k × dims multiply-accumulate).
-                    let starting = pending & fresh;
-                    if starting.any() {
-                        for l in starting.iter() {
-                            let j = params.points_per_thread - remaining[l];
-                            assigned[l] = params.assignment(ctx.id().thread_id(l), j);
-                        }
-                        ctx.idle(4 * (params.clusters * params.dims) as u64).await;
-                        fresh &= !starting;
-                    }
-                    let active = stm.begin(&mut w, &ctx, pending).await;
-                    if active.none() {
-                        continue;
-                    }
-                    // Transaction: accumulate the point into its centroid.
-                    let mut ok = active;
-                    for d in 0..params.dims {
-                        ok &= stm.opaque(&w);
-                        if ok.none() {
-                            break;
-                        }
-                        let addrs =
-                            lane_addrs(ok, |l| accum.offset(assigned[l] * (params.dims + 1) + d));
-                        let sums = stm.read(&mut w, &ctx, ok, &addrs).await;
-                        let ok2 = ok & stm.opaque(&w);
-                        let upd = lane_vals(ok2, |l| {
-                            let j = params.points_per_thread - remaining[l];
-                            sums[l] + params.point(ctx.id().thread_id(l), j, d)
-                        });
-                        stm.write(&mut w, &ctx, ok2, &addrs, &upd).await;
-                    }
-                    ok &= stm.opaque(&w);
-                    if ok.any() {
-                        let caddr = lane_addrs(ok, |l| {
-                            accum.offset(assigned[l] * (params.dims + 1) + params.dims)
-                        });
-                        let counts = stm.read(&mut w, &ctx, ok, &caddr).await;
-                        let ok2 = ok & stm.opaque(&w);
-                        stm.write(&mut w, &ctx, ok2, &caddr, &lane_vals(ok2, |l| counts[l] + 1))
-                            .await;
-                    }
-                    let committed = stm.commit(&mut w, &ctx, active).await;
-                    for l in committed.iter() {
-                        remaining[l] -= 1;
-                    }
-                    fresh |= committed;
+                    let addrs =
+                        lane_addrs(ok, |l| accum.offset(assigned[l] * (params.dims + 1) + d));
+                    let sums = stm.read(&mut w, &ctx, ok, &addrs).await;
+                    let ok2 = ok & stm.opaque(&w);
+                    let upd = lane_vals(ok2, |l| {
+                        let j = params.points_per_thread - remaining[l];
+                        sums[l] + params.point(ctx.id().thread_id(l), j, d)
+                    });
+                    stm.write(&mut w, &ctx, ok2, &addrs, &upd).await;
                 }
-                ctx.set_speculative(false);
+                ok &= stm.opaque(&w);
+                if ok.any() {
+                    let caddr = lane_addrs(ok, |l| {
+                        accum.offset(assigned[l] * (params.dims + 1) + params.dims)
+                    });
+                    let counts = stm.read(&mut w, &ctx, ok, &caddr).await;
+                    let ok2 = ok & stm.opaque(&w);
+                    stm.write(&mut w, &ctx, ok2, &caddr, &lane_vals(ok2, |l| counts[l] + 1)).await;
+                }
+                let committed = stm.commit(&mut w, &ctx, active).await;
+                for l in committed.iter() {
+                    remaining[l] -= 1;
+                }
+                fresh |= committed;
             }
-        })?;
-        Ok(outcome(vec![report], &*stm))
-    }
+            ctx.set_speculative(false);
+        }
+    })?;
+    Ok(outcome(vec![report], &*stm))
 }
 
 /// Runs one k-means accumulation iteration under `variant` and verifies
@@ -168,16 +162,8 @@ pub fn run(
 ) -> Result<RunOutcome, RunError> {
     let mut sim = Sim::new(cfg.sim.clone());
     let accum = sim.alloc(params.shared_words())?;
-    let out = dispatch(
-        &mut sim,
-        variant,
-        cfg.stm,
-        params.shared_words() as u64,
-        grid,
-        cfg.recorder.clone(),
-        cfg.trace.clone(),
-        KmRunner { params: *params, grid, accum },
-    )?;
+    let stm = Rc::new(cfg.build_stm(&mut sim, variant, params.shared_words() as u64, grid)?);
+    let out = kernel(&mut sim, stm, *params, grid, accum)?;
 
     // Host ground truth.
     let mut expect = vec![0u64; params.shared_words() as usize];

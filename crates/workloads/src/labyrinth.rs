@@ -10,11 +10,10 @@
 //! shared data (the grid) exceeds the lock table, favouring hierarchical
 //! validation.
 
-use crate::common::{mix64, outcome, RunConfig};
+use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
-use gpu_sim::{Addr, AtomicOp, LaneMask, LaunchConfig, Sim, WarpCtx, WARP_SIZE};
-use gpu_stm::{lane_addrs, lane_vals, Stm};
+use gpu_sim::{mix64, Addr, AtomicOp, LaneMask, LaunchConfig, Sim, WarpCtx, WARP_SIZE};
+use gpu_stm::{lane_addrs, lane_vals, AnyStm, Stm, Variant};
 use std::rc::Rc;
 
 /// Labyrinth parameters.
@@ -113,125 +112,121 @@ pub struct LbOutcome {
     pub blocked: u32,
 }
 
-struct LbRunner {
+/// Launches the labyrinth routing kernel under `stm`.
+fn kernel(
+    sim: &mut Sim,
+    stm: Rc<AnyStm>,
     params: LbParams,
     grid: LaunchConfig,
     cells: Addr,
     queue: Addr,
     result: Addr,
-}
-
-impl StmRunner for LbRunner {
-    type Out = RunOutcome;
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<RunOutcome, RunError> {
-        let LbRunner { params, grid, cells, queue, result } = self;
-        let kstm = Rc::clone(&stm);
-        let report = sim.launch(grid, move |ctx: WarpCtx| {
-            let stm = Rc::clone(&kstm);
-            async move {
-                let mut w = stm.new_warp();
-                let launch = ctx.id().launch_mask;
-                // Per-lane routing state.
-                let mut path: [Option<u32>; WARP_SIZE] = [None; WARP_SIZE];
-                let mut attempt_bend: [bool; WARP_SIZE] = [true; WARP_SIZE];
-                let mut routes: Vec<Vec<u32>> = vec![Vec::new(); WARP_SIZE];
-                let mut done = LaneMask::EMPTY;
-                ctx.set_speculative(true);
-                loop {
-                    // Claim new work items for idle lanes (non-transactional
-                    // queue pop, as in the STAMP port).
-                    let idle = launch & !done;
-                    let need_work = idle.filter(|l| path[l].is_none());
-                    if need_work.any() {
-                        let old = ctx
-                            .atomic_rmw(
-                                need_work,
-                                AtomicOp::Add,
-                                &[queue; WARP_SIZE],
-                                &[1u32; WARP_SIZE],
-                            )
-                            .await;
-                        for l in need_work.iter() {
-                            if old[l] < params.n_paths {
-                                path[l] = Some(old[l]);
-                                attempt_bend[l] = true;
-                                routes[l] = params.route(old[l], true);
-                            } else {
-                                done |= LaneMask::lane(l);
-                            }
+) -> Result<RunOutcome, RunError> {
+    let kstm = Rc::clone(&stm);
+    let report = sim.launch(grid, move |ctx: WarpCtx| {
+        let stm = Rc::clone(&kstm);
+        async move {
+            let mut w = stm.new_warp();
+            let launch = ctx.id().launch_mask;
+            // Per-lane routing state.
+            let mut path: [Option<u32>; WARP_SIZE] = [None; WARP_SIZE];
+            let mut attempt_bend: [bool; WARP_SIZE] = [true; WARP_SIZE];
+            let mut routes: Vec<Vec<u32>> = vec![Vec::new(); WARP_SIZE];
+            let mut done = LaneMask::EMPTY;
+            ctx.set_speculative(true);
+            loop {
+                // Claim new work items for idle lanes (non-transactional
+                // queue pop, as in the STAMP port).
+                let idle = launch & !done;
+                let need_work = idle.filter(|l| path[l].is_none());
+                if need_work.any() {
+                    let old = ctx
+                        .atomic_rmw(
+                            need_work,
+                            AtomicOp::Add,
+                            &[queue; WARP_SIZE],
+                            &[1u32; WARP_SIZE],
+                        )
+                        .await;
+                    for l in need_work.iter() {
+                        if old[l] < params.n_paths {
+                            path[l] = Some(old[l]);
+                            attempt_bend[l] = true;
+                            routes[l] = params.route(old[l], true);
+                        } else {
+                            done |= LaneMask::lane(l);
                         }
                     }
-                    let pending = launch & !done;
-                    if pending.none() {
+                }
+                let pending = launch & !done;
+                if pending.none() {
+                    break;
+                }
+                // Native route computation cost: proportional to length.
+                let max_len = pending.iter().map(|l| routes[l].len()).max().unwrap_or(0);
+                ctx.idle(20 * max_len as u64).await;
+
+                let active = stm.begin(&mut w, &ctx, pending).await;
+                if active.none() {
+                    continue;
+                }
+                // Transactionally read every cell of the route.
+                let mut free = active; // lanes whose route is entirely free
+                let rounds = active.iter().map(|l| routes[l].len()).max().unwrap_or(0);
+                let mut scanning = active;
+                for k in 0..rounds {
+                    scanning &= stm.opaque(&w);
+                    let m = scanning.filter(|l| k < routes[l].len());
+                    if m.none() {
                         break;
                     }
-                    // Native route computation cost: proportional to length.
-                    let max_len = pending.iter().map(|l| routes[l].len()).max().unwrap_or(0);
-                    ctx.idle(20 * max_len as u64).await;
-
-                    let active = stm.begin(&mut w, &ctx, pending).await;
-                    if active.none() {
-                        continue;
+                    let addrs = lane_addrs(m, |l| cells.offset(routes[l][k]));
+                    let vals = stm.read(&mut w, &ctx, m, &addrs).await;
+                    for l in m.iter() {
+                        if vals[l] != 0 {
+                            free = free.without(l);
+                            scanning = scanning.without(l); // blocked: stop scanning
+                        }
                     }
-                    // Transactionally read every cell of the route.
-                    let mut free = active; // lanes whose route is entirely free
-                    let rounds = active.iter().map(|l| routes[l].len()).max().unwrap_or(0);
-                    let mut scanning = active;
+                }
+                free &= stm.opaque(&w);
+                // Claim free routes: write owner id to every cell plus
+                // the result flag, atomically with the reads.
+                if free.any() {
+                    let rounds = free.iter().map(|l| routes[l].len()).max().unwrap_or(0);
                     for k in 0..rounds {
-                        scanning &= stm.opaque(&w);
-                        let m = scanning.filter(|l| k < routes[l].len());
+                        let m = free.filter(|l| k < routes[l].len());
                         if m.none() {
                             break;
                         }
                         let addrs = lane_addrs(m, |l| cells.offset(routes[l][k]));
-                        let vals = stm.read(&mut w, &ctx, m, &addrs).await;
-                        for l in m.iter() {
-                            if vals[l] != 0 {
-                                free = free.without(l);
-                                scanning = scanning.without(l); // blocked: stop scanning
-                            }
-                        }
+                        let vals = lane_vals(m, |l| path[l].unwrap() + 1);
+                        stm.write(&mut w, &ctx, m, &addrs, &vals).await;
                     }
-                    free &= stm.opaque(&w);
-                    // Claim free routes: write owner id to every cell plus
-                    // the result flag, atomically with the reads.
-                    if free.any() {
-                        let rounds = free.iter().map(|l| routes[l].len()).max().unwrap_or(0);
-                        for k in 0..rounds {
-                            let m = free.filter(|l| k < routes[l].len());
-                            if m.none() {
-                                break;
-                            }
-                            let addrs = lane_addrs(m, |l| cells.offset(routes[l][k]));
-                            let vals = lane_vals(m, |l| path[l].unwrap() + 1);
-                            stm.write(&mut w, &ctx, m, &addrs, &vals).await;
-                        }
-                        let raddr = lane_addrs(free, |l| result.offset(path[l].unwrap()));
-                        let rval = lane_vals(free, |l| if attempt_bend[l] { 1 } else { 2 });
-                        stm.write(&mut w, &ctx, free, &raddr, &rval).await;
-                    }
-                    let committed = stm.commit(&mut w, &ctx, active).await;
-                    for l in committed.iter() {
-                        if free.contains(l) {
-                            path[l] = None; // routed; pull next work item
+                    let raddr = lane_addrs(free, |l| result.offset(path[l].unwrap()));
+                    let rval = lane_vals(free, |l| if attempt_bend[l] { 1 } else { 2 });
+                    stm.write(&mut w, &ctx, free, &raddr, &rval).await;
+                }
+                let committed = stm.commit(&mut w, &ctx, active).await;
+                for l in committed.iter() {
+                    if free.contains(l) {
+                        path[l] = None; // routed; pull next work item
+                    } else {
+                        // Route blocked (committed read-only): try the
+                        // other bend, then give up.
+                        if attempt_bend[l] {
+                            attempt_bend[l] = false;
+                            routes[l] = params.route(path[l].unwrap(), false);
                         } else {
-                            // Route blocked (committed read-only): try the
-                            // other bend, then give up.
-                            if attempt_bend[l] {
-                                attempt_bend[l] = false;
-                                routes[l] = params.route(path[l].unwrap(), false);
-                            } else {
-                                path[l] = None; // both bends blocked: abandon
-                            }
+                            path[l] = None; // both bends blocked: abandon
                         }
                     }
                 }
-                ctx.set_speculative(false);
             }
-        })?;
-        Ok(outcome(vec![report], &*stm))
-    }
+            ctx.set_speculative(false);
+        }
+    })?;
+    Ok(outcome(vec![report], &*stm))
 }
 
 /// Runs labyrinth under `variant` and verifies that claimed routes are
@@ -252,16 +247,8 @@ pub fn run(
     let cells = sim.alloc(n_cells)?;
     let queue = sim.alloc(1)?;
     let result = sim.alloc(params.n_paths)?;
-    let base = dispatch(
-        &mut sim,
-        variant,
-        cfg.stm,
-        n_cells as u64,
-        grid,
-        cfg.recorder.clone(),
-        cfg.trace.clone(),
-        LbRunner { params: *params, grid, cells, queue, result },
-    )?;
+    let stm = Rc::new(cfg.build_stm(&mut sim, variant, n_cells as u64, grid)?);
+    let base = kernel(&mut sim, stm, *params, grid, cells, queue, result)?;
 
     // Verification: each routed path fully owns its cells; every claimed
     // cell belongs to exactly the route that claims it.

@@ -34,8 +34,7 @@ pub mod labyrinth;
 mod outcome;
 pub mod queue;
 pub mod ra;
-mod variant;
 
-pub use common::{mix64, RunConfig};
+pub use common::RunConfig;
+pub use gpu_stm::Variant;
 pub use outcome::{RunError, RunOutcome};
-pub use variant::{dispatch, StmRunner, Variant};

@@ -1,7 +1,7 @@
 //! Run results and errors shared by all workloads.
 
 use gpu_sim::{RunReport, SimError};
-use gpu_stm::TxStats;
+use gpu_stm::{BuildError, TxStats};
 use std::error::Error;
 use std::fmt;
 
@@ -41,6 +41,15 @@ impl Error for RunError {
 impl From<SimError> for RunError {
     fn from(e: SimError) -> Self {
         RunError::Sim(e)
+    }
+}
+
+impl From<BuildError> for RunError {
+    fn from(e: BuildError) -> Self {
+        match e {
+            BuildError::Sim(e) => RunError::Sim(e),
+            BuildError::Unsupported(msg) => RunError::Unsupported(msg),
+        }
     }
 }
 

@@ -19,9 +19,8 @@
 
 use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::Variant;
 use gpu_sim::{Addr, LaneMask, LaunchConfig, Sim};
-use gpu_stm::{Blocking, LockStm, Stm, StmShared};
+use gpu_stm::{Blocking, Stm, Variant};
 
 /// Bounded producer/consumer ring parameters.
 #[derive(Copy, Clone, Debug)]
@@ -67,40 +66,10 @@ impl Default for DequeParams {
     }
 }
 
-/// Builds the blocking STM for `variant`. Blocking needs to *own* its
-/// inner runtime (the registry's device anchors are allocated here), so
-/// the shapes are restricted to the per-thread lock-based variants; the
-/// blocking baseline comparison never needs the rest.
-fn blocking_stm(
-    sim: &mut Sim,
-    variant: Variant,
-    cfg: &RunConfig,
-) -> Result<Blocking<LockStm>, RunError> {
-    let stm_cfg = cfg.stm;
-    let shared = StmShared::init(sim, &stm_cfg)?;
-    let mut inner = match variant {
-        Variant::TbvSorting => LockStm::tbv_sorting(shared, stm_cfg),
-        Variant::HvSorting => LockStm::hv_sorting(shared, stm_cfg),
-        Variant::HvBackoff => LockStm::hv_backoff(shared, stm_cfg),
-        Variant::TbvBackoff => LockStm::tbv_backoff(shared, stm_cfg),
-        _ => {
-            return Err(RunError::Unsupported(
-                "blocking queue workloads require a per-thread lock-based STM variant",
-            ))
-        }
-    };
-    if let Some(rec) = cfg.recorder.clone() {
-        inner = inner.with_recorder(rec);
-    }
-    if let Some(t) = cfg.trace.clone() {
-        inner = inner.with_trace(t);
-    }
-    let mut stm = Blocking::new(sim, inner, &stm_cfg)?;
-    if let Some(t) = cfg.trace.clone() {
-        stm = stm.with_trace(t);
-    }
-    Ok(stm)
-}
+/// The shapes run only on the per-thread lock-based variants
+/// ([`Variant::is_lock_stm`]); the park-versus-respin comparison never
+/// needs the rest.
+const LOCK_STM_ONLY: &str = "blocking queue workloads require a per-thread lock-based STM variant";
 
 /// Device layout of the ring (or deque): two cursors, a done/remaining
 /// word, the slots, and the per-item delivery flags.
@@ -160,15 +129,24 @@ pub fn run_queue(
     if p.capacity == 0 || p.items == 0 || p.producers == 0 || p.consumers == 0 {
         return Err(RunError::Verification("queue params must all be non-zero".to_string()));
     }
+    if !variant.is_lock_stm() {
+        return Err(RunError::Unsupported(LOCK_STM_ONLY));
+    }
+    let warps = p.producers + p.consumers;
+    let grid = LaunchConfig::new(1, warps * 32);
     let mut sim = Sim::new(cfg.sim.clone());
     let ring = alloc_ring(&mut sim, p.capacity, p.items)?;
-    let stm = blocking_stm(&mut sim, variant, cfg)?;
-    let stm = if p.park { stm } else { stm.clone().without_park() };
+    let inner = cfg.build_stm(&mut sim, variant, u64::from(p.capacity), grid)?;
+    let mut stm = Blocking::new(&mut sim, inner, &cfg.stm)?;
+    if let Some(t) = cfg.trace.clone() {
+        stm = stm.with_trace(t);
+    }
+    if !p.park {
+        stm = stm.without_park();
+    }
     let (head_a, tail_a, done_a, slots, out) =
         (ring.head, ring.tail, ring.ctrl, ring.slots, ring.out);
 
-    let warps = p.producers + p.consumers;
-    let grid = LaunchConfig::new(1, warps * 32);
     let kstm = stm.clone();
     let report = sim.launch(grid, move |ctx| {
         let stm = kstm.clone();
@@ -276,14 +254,23 @@ pub fn run_deque(
     if p.capacity == 0 || p.items == 0 || p.thieves == 0 {
         return Err(RunError::Verification("deque params must all be non-zero".to_string()));
     }
+    if !variant.is_lock_stm() {
+        return Err(RunError::Unsupported(LOCK_STM_ONLY));
+    }
+    let grid = LaunchConfig::new(1, (1 + p.thieves) * 32);
     let mut sim = Sim::new(cfg.sim.clone());
     let ring = alloc_ring(&mut sim, p.capacity, p.items)?;
     sim.write(ring.ctrl, p.items); // remaining
-    let stm = blocking_stm(&mut sim, variant, cfg)?;
-    let stm = if p.park { stm } else { stm.clone().without_park() };
+    let inner = cfg.build_stm(&mut sim, variant, u64::from(p.capacity), grid)?;
+    let mut stm = Blocking::new(&mut sim, inner, &cfg.stm)?;
+    if let Some(t) = cfg.trace.clone() {
+        stm = stm.with_trace(t);
+    }
+    if !p.park {
+        stm = stm.without_park();
+    }
     let (top_a, bot_a, rem_a, slots, out) = (ring.head, ring.tail, ring.ctrl, ring.slots, ring.out);
 
-    let grid = LaunchConfig::new(1, (1 + p.thieves) * 32);
     let kstm = stm.clone();
     let report = sim.launch(grid, move |ctx| {
         let stm = kstm.clone();

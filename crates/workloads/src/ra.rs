@@ -8,9 +8,8 @@
 
 use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
 use gpu_sim::{LaunchConfig, Sim, WarpCtx, WarpRng};
-use gpu_stm::{lane_addrs, lane_vals, Stm};
+use gpu_stm::{lane_addrs, lane_vals, AnyStm, Stm, Variant};
 use std::rc::Rc;
 
 /// Random-array parameters.
@@ -40,67 +39,62 @@ impl Default for RaParams {
     }
 }
 
-struct RaRunner {
+/// Launches the RA kernel under `stm` over the shared array at `data`.
+fn kernel(
+    sim: &mut Sim,
+    stm: Rc<AnyStm>,
     params: RaParams,
     grid: LaunchConfig,
     data: gpu_sim::Addr,
-}
-
-impl StmRunner for RaRunner {
-    type Out = RunOutcome;
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<RunOutcome, RunError> {
-        let RaRunner { params, grid, data } = self;
-        let kstm = Rc::clone(&stm);
-        let report = sim.launch(grid, move |ctx: WarpCtx| {
-            let stm = Rc::clone(&kstm);
-            async move {
-                let mut w = stm.new_warp();
-                let mut rng = WarpRng::new(params.seed, ctx.id().thread_id(0));
-                let launch = ctx.id().launch_mask;
-                let mut remaining = [params.txs_per_thread; 32];
-                // The whole retry loop is speculative: the race detector
-                // must not pair transactional accesses (STM orders them).
-                ctx.set_speculative(true);
-                loop {
-                    let pending = launch.filter(|l| remaining[l] > 0);
-                    if pending.none() {
+) -> Result<RunOutcome, RunError> {
+    let kstm = Rc::clone(&stm);
+    let report = sim.launch(grid, move |ctx: WarpCtx| {
+        let stm = Rc::clone(&kstm);
+        async move {
+            let mut w = stm.new_warp();
+            let mut rng = WarpRng::new(params.seed, ctx.id().thread_id(0));
+            let launch = ctx.id().launch_mask;
+            let mut remaining = [params.txs_per_thread; 32];
+            // The whole retry loop is speculative: the race detector
+            // must not pair transactional accesses (STM orders them).
+            ctx.set_speculative(true);
+            loop {
+                let pending = launch.filter(|l| remaining[l] > 0);
+                if pending.none() {
+                    break;
+                }
+                let active = stm.begin(&mut w, &ctx, pending).await;
+                if active.none() {
+                    continue;
+                }
+                let mut ok = active;
+                for _ in 0..params.actions_per_tx {
+                    ok &= stm.opaque(&w);
+                    if ok.none() {
                         break;
                     }
-                    let active = stm.begin(&mut w, &ctx, pending).await;
-                    if active.none() {
-                        continue;
+                    // Per-lane random action and address (Figure 1).
+                    let do_write = ok.filter(|l| rng.chance(l, params.write_pct, 100));
+                    let addrs = lane_addrs(ok, |l| data.offset(rng.below(l, params.shared_words)));
+                    let readers = ok & !do_write;
+                    if readers.any() {
+                        let _ = stm.read(&mut w, &ctx, readers, &addrs).await;
                     }
-                    let mut ok = active;
-                    for _ in 0..params.actions_per_tx {
-                        ok &= stm.opaque(&w);
-                        if ok.none() {
-                            break;
-                        }
-                        // Per-lane random action and address (Figure 1).
-                        let do_write = ok.filter(|l| rng.chance(l, params.write_pct, 100));
-                        let addrs =
-                            lane_addrs(ok, |l| data.offset(rng.below(l, params.shared_words)));
-                        let readers = ok & !do_write;
-                        if readers.any() {
-                            let _ = stm.read(&mut w, &ctx, readers, &addrs).await;
-                        }
-                        let writers = ok & do_write & stm.opaque(&w);
-                        if writers.any() {
-                            let vals = lane_vals(writers, |l| rng.next_u32(l) | 1);
-                            stm.write(&mut w, &ctx, writers, &addrs, &vals).await;
-                        }
-                    }
-                    let committed = stm.commit(&mut w, &ctx, active).await;
-                    for l in committed.iter() {
-                        remaining[l] -= 1;
+                    let writers = ok & do_write & stm.opaque(&w);
+                    if writers.any() {
+                        let vals = lane_vals(writers, |l| rng.next_u32(l) | 1);
+                        stm.write(&mut w, &ctx, writers, &addrs, &vals).await;
                     }
                 }
-                ctx.set_speculative(false);
+                let committed = stm.commit(&mut w, &ctx, active).await;
+                for l in committed.iter() {
+                    remaining[l] -= 1;
+                }
             }
-        })?;
-        Ok(outcome(vec![report], &*stm))
-    }
+            ctx.set_speculative(false);
+        }
+    })?;
+    Ok(outcome(vec![report], &*stm))
 }
 
 /// Runs the RA micro-benchmark under `variant`.
@@ -116,16 +110,8 @@ pub fn run(
 ) -> Result<RunOutcome, RunError> {
     let mut sim = Sim::new(cfg.sim.clone());
     let data = sim.alloc(params.shared_words)?;
-    dispatch(
-        &mut sim,
-        variant,
-        cfg.stm,
-        params.shared_words as u64,
-        grid,
-        cfg.recorder.clone(),
-        cfg.trace.clone(),
-        RaRunner { params: *params, grid, data },
-    )
+    let stm = Rc::new(cfg.build_stm(&mut sim, variant, params.shared_words as u64, grid)?);
+    kernel(&mut sim, stm, *params, grid, data)
 }
 
 /// Like [`run`] but also returns the simulator, so tests can inspect final
@@ -138,16 +124,8 @@ pub fn run_with_sim(
 ) -> Result<(RunOutcome, Sim, gpu_sim::Addr), RunError> {
     let mut sim = Sim::new(cfg.sim.clone());
     let data = sim.alloc(params.shared_words)?;
-    let out = dispatch(
-        &mut sim,
-        variant,
-        cfg.stm,
-        params.shared_words as u64,
-        grid,
-        cfg.recorder.clone(),
-        cfg.trace.clone(),
-        RaRunner { params: *params, grid, data },
-    )?;
+    let stm = Rc::new(cfg.build_stm(&mut sim, variant, params.shared_words as u64, grid)?);
+    let out = kernel(&mut sim, stm, *params, grid, data)?;
     Ok((out, sim, data))
 }
 

@@ -5,10 +5,10 @@
 //! counters as deterministic; the worker-count-independence leg of the
 //! same property lives in tm-serve's blocking report tests.
 
-use gpu_sim::{LaneMask, LaunchConfig, Sim, SimConfig, SimError};
+use gpu_sim::{mix64, LaneMask, LaunchConfig, Sim, SimConfig, SimError};
 use gpu_stm::{Blocking, LockStm, Stm, StmConfig, StmShared};
 use workloads::queue::{run_deque, run_queue, DequeParams, QueueParams};
-use workloads::{mix64, RunConfig, Variant};
+use workloads::{RunConfig, Variant};
 
 /// Derives a queue shape from a seed: small rings and asymmetric
 /// producer/consumer counts so both full-ring and empty-ring parks are
